@@ -33,6 +33,7 @@ from .families import (
     monomial_krull_dim,
     tau_family,
     window_dim,
+    window_taus,
 )
 from .groebner import (
     LEX,
@@ -53,6 +54,7 @@ from .lab import (
     enumerate_truncated_solutions,
     projection_count,
 )
+from .meancycle import CertificateError
 from .parsing import ParseError, parse_polynomial, polynomial_text
 from .polynomials import (
     DifferencePolynomial,

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .covering import IntSet, covering_density, optimal_complement, tau_interval
+from .covering import IntSet, optimal_complement, tau_interval
 from .engine import (
     CapExceededError,
     DimensionReport,
@@ -135,8 +135,8 @@ def _cmd_sdim(args) -> int:
 
 def _cmd_cover(args) -> int:
     e = _parse_intset(args.elements)
-    density = covering_density(e)
-    comp = optimal_complement(e)
+    comp = optimal_complement(e)  # one cycle-mean solve; its density is c(E)
+    density = comp.density
     result = {
         "elements": list(e.elements),
         "density": _frac_json(density),

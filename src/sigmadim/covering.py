@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .meancycle import INF, Graph, extract_min_mean_cycle, minimum_cycle_mean
+from .meancycle import INF, CertificateError, Graph, extract_min_mean_cycle, minimum_cycle_mean
 
 
 class IntSet:
@@ -157,18 +157,23 @@ def covering_density(e: IntSet, check: bool = False) -> Fraction:
         span = e.span
         for i in (4 * (span + 1), 16 * (span + 1)):
             ratio = Fraction(tau_interval(e, i), i)
-            bound = Fraction(span + 1, i)
-            assert abs(ratio - c) <= bound, (e, i, ratio, c)
+            if abs(ratio - c) > Fraction(span + 1, i):
+                raise CertificateError(
+                    f"{e}: tau_{i}/{i} = {ratio} is farther than {span + 1}/{i} from {c}"
+                )
     return c
 
 
 def optimal_complement(e: IntSet) -> PeriodicComplement:
     """A periodic complement achieving density exactly c(E), unrolled from
-    a minimum-mean cycle of the coverage automaton."""
+    a minimum-mean cycle of the coverage automaton.  Its density is checked
+    to equal that cycle mean, so `comp.density` is c(E)."""
     mean, labels = extract_min_mean_cycle(coverage_graph(e), source=0)
     period = len(labels)
     offsets = [t for t, placed in enumerate(labels) if placed]
     comp = PeriodicComplement(period, offsets)
-    assert comp.density == mean
-    assert comp.covers(e)
+    if comp.density != mean:
+        raise CertificateError(f"{comp} has density {comp.density}, cycle mean is {mean}")
+    if not comp.covers(e):
+        raise CertificateError(f"{comp} does not cover Z with translates of {e}")
     return comp

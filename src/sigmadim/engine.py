@@ -24,24 +24,21 @@ import numpy as np
 
 from .covering import IntSet, covering_density, reflect, tau_interval
 from .families import (
+    STATE_BIT_CAP,  # re-exported: the cap belongs to the pick automaton
+    CapExceededError,
     EmptyDimension,
     SigmaFamily,
     UnitIdealError,
     family_from_monomials,
-    tau_family,
-    window_dim,
+    pick_states,
+    window_taus,
 )
 from .groebner import LEX, buchberger, eliminate, ideal_dimension, leading_monomial_ideal
-from .meancycle import Graph, minimum_cycle_mean
+from .meancycle import CertificateError, Graph, extract_min_mean_cycle, minimum_cycle_mean
 from .polynomials import DifferencePolynomial, SigmaMonomial, SigmaVariable
 
-STATE_BIT_CAP = 20
 DEFAULT_GROEBNER_IMAX = 8
 DEFAULT_COMBINATORIAL_IMAX = 64
-
-
-class CapExceededError(ValueError):
-    """Raised when the pick-automaton state space would exceed the cap."""
 
 
 @dataclass(frozen=True)
@@ -129,34 +126,17 @@ def sigma_dim_univariate_monomial(m: SigmaMonomial, check: bool = False) -> Frac
 
 
 def _pick_graph(family: SigmaFamily) -> Graph:
-    """Column-pick automaton of a family.
-
-    A state is the pick pattern of the last `width` columns (n bits per
-    column, newest column in the low bits).  Appending a column checks
-    every member whose window just completed: some cell of the shifted
-    member must be picked.  Edge weight = picks in the new column."""
-    n, w = family.n, family.width
-    bits = n * w
-    if bits > STATE_BIT_CAP:
-        raise CapExceededError(
-            f"pick automaton needs {bits} state bits (n*width), cap is {STATE_BIT_CAP}"
-        )
-    member_masks = []
-    for s in family.members:
-        mask = 0
-        for (a, j) in s.cells:
-            # cell at shift a of a member of order o sits (o - a) columns
-            # behind the newest column
-            mask |= 1 << ((s.ord - a) * n + (j - 1))
-        member_masks.append(mask)
+    """Column-pick automaton of a family as an explicit graph: the states
+    and allowed steps of `pick_states`, edge weight = picks in the new
+    column, edge label = the new column's pick pattern."""
+    n = family.n
+    bits, allowed = pick_states(family)
     full = (1 << bits) - 1
     g = Graph(1 << bits)
     states = np.arange(1 << bits, dtype=np.int64)
     for pick in range(1 << n):
         nxt = ((states << n) | pick) & full
-        ok = np.ones(len(states), dtype=bool)
-        for mask in member_masks:
-            ok &= (nxt & mask) != 0
+        ok = allowed[nxt]
         weight = bin(pick).count("1")
         for u, v in zip(states[ok].tolist(), nxt[ok].tolist()):
             g.add_edge(u, v, weight, pick)
@@ -189,14 +169,18 @@ def sigma_dim_family(family: SigmaFamily, check: bool = False) -> Fraction:
     c = minimum_cycle_mean(graph, source=0)
     if check:
         w = family.width
+        taus = window_taus(family, 8 * w)
         for i in (2 * w, 4 * w, 8 * w):
-            ratio = Fraction(tau_family(family, i), i + 1)
-            assert ratio <= c, (family, i, ratio, c)
-        from .meancycle import extract_min_mean_cycle
-
+            ratio = Fraction(taus[i], i + 1)
+            if ratio > c:
+                raise CertificateError(
+                    f"{family}: window ratio tau_{i}/{i + 1} = {ratio} exceeds the cycle mean {c}"
+                )
         mean, picks = extract_min_mean_cycle(graph, source=0)
-        assert mean == c
-        assert _verify_periodic_picks(family, picks), (family, picks)
+        if mean != c:
+            raise CertificateError(f"{family}: witness cycle mean {mean} differs from {c}")
+        if not _verify_periodic_picks(family, picks):
+            raise CertificateError(f"{family}: periodic picks {picks} miss a shifted member")
     return family.n - c
 
 
@@ -349,7 +333,8 @@ SystemInput = Union[SigmaFamily, Sequence[DifferencePolynomial], Sequence[SigmaM
 
 def _family_report(family: SigmaFamily, i_max: int, check: bool) -> DimensionReport:
     value = sigma_dim_family(family, check=check)
-    entries = [DimEntry(i, window_dim(family, i), True) for i in range(i_max + 1)]
+    taus = window_taus(family, i_max)
+    entries = [DimEntry(i, family.n * (i + 1) - t, True) for i, t in enumerate(taus)]
     report = DimensionReport(
         method="family",
         entries=entries,
@@ -435,7 +420,10 @@ def sigma_dim(
             entries.append(DimEntry(i, d, True))
         if check:
             fam_value = sigma_dim_family(family_from_monomials(monomials, n))
-            assert fam_value == value, (value, fam_value)
+            if fam_value != value:
+                raise CertificateError(
+                    f"covering value {value} differs from the family value {fam_value}"
+                )
         report = DimensionReport(
             method="covering",
             entries=entries,

@@ -3,19 +3,30 @@
 A squarefree sigma-monomial corresponds to a non-empty finite set of cells
 (shift, index) in N x {1..n}; a family of such supports encodes the
 monomial sigma-ideal generated by all forward shifts of its members.  This
-module computes window transversal numbers, window dimensions, free-set
-tests and the Krull dimension of ordinary monomial ideals, all via exact
-minimum hitting sets.
+module computes window transversal numbers, window dimensions and
+lexicographically least maximum free subsets by one finite-horizon
+min-plus pass over the column-pick automaton (capped at STATE_BIT_CAP
+state bits), free-set tests directly, and the Krull dimension of ordinary
+monomial ideals by an exact minimum hitting set.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from .meancycle import INF
 from .polynomials import SigmaMonomial
-from .transversal import minimum_hitting_set, minimum_hitting_set_size
+from .transversal import minimum_hitting_set_size
 
 Cell = tuple[int, int]  # (shift, index)
+
+STATE_BIT_CAP = 20
+
+
+class CapExceededError(ValueError):
+    """Raised when the pick-automaton state space would exceed the cap."""
 
 
 class EmptyDimension:
@@ -153,14 +164,70 @@ def window_constraints(family: SigmaFamily, i: int) -> list[frozenset[Cell]]:
     return out
 
 
+def pick_states(family: SigmaFamily) -> tuple[int, np.ndarray]:
+    """State bits and allowed-state mask of the column-pick automaton.
+
+    A state is the pick pattern of the last `width` columns (n bits per
+    column, newest column in the low bits).  A step appends one column and
+    may land on state t only if allowed[t]: every member whose window ends
+    at the newest column has some picked cell."""
+    n, w = family.n, family.width
+    bits = n * w
+    if bits > STATE_BIT_CAP:
+        raise CapExceededError(
+            f"pick automaton needs {bits} state bits (n*width), cap is {STATE_BIT_CAP}"
+        )
+    states = np.arange(1 << bits, dtype=np.int64)
+    allowed = np.ones(1 << bits, dtype=bool)
+    for s in family.members:
+        mask = 0
+        for (a, j) in s.cells:
+            # cell at shift a of a member of order o sits (o - a) columns
+            # behind the newest column
+            mask |= 1 << ((s.ord - a) * n + (j - 1))
+        allowed &= (states & mask) != 0
+    return bits, allowed
+
+
+def _popcounts(n: int) -> np.ndarray:
+    """Picks in each of the 2^n column patterns: the cost of a step."""
+    return np.array([bin(p).count("1") for p in range(1 << n)], dtype=np.int64)
+
+
+def window_taus(family: SigmaFamily, i_max: int) -> list[int]:
+    """tau(family, i) for i = 0..i_max in one min-plus pass over the pick
+    automaton.
+
+    The pass starts in the all-picked state, which makes every member
+    longer than the columns appended so far vacuous; each appended column
+    costs its picks and must land in an allowed state, so every shifted
+    member inside the window is checked exactly once.  After i+1 columns
+    the minimum over states is tau(family, i)."""
+    if not family.members:
+        return [0] * (i_max + 1)
+    n = family.n
+    bits, allowed = pick_states(family)
+    blocked = ~allowed
+    cost = _popcounts(n)
+    dp = np.full(1 << bits, INF, dtype=np.int64)
+    dp[-1] = 0
+    taus = []
+    for _ in range(i_max + 1):
+        # the predecessors of state t are the 2^n states whose low
+        # bits - n bits equal t >> n: one column of the reshaped dp
+        best = dp.reshape(1 << n, -1).min(axis=0)
+        dp = (best[:, None] + cost[None, :]).ravel()
+        dp[blocked] = INF
+        taus.append(int(dp.min()))
+    return taus
+
+
 def tau_family(family: SigmaFamily, i: int) -> int:
     """Minimum size of a cell set hitting every shifted member within the
     order-i window."""
     if i < 0:
         raise ValueError("window order must be >= 0")
-    size = minimum_hitting_set_size(window_constraints(family, i))
-    assert size is not None  # members are non-empty
-    return size
+    return window_taus(family, i)[i]
 
 
 def window_dim(family: SigmaFamily, i: int) -> int:
@@ -184,21 +251,43 @@ def is_free(T: Iterable[Cell], family: SigmaFamily) -> bool:
 def max_free_subset(family: SigmaFamily, i: int) -> frozenset[Cell]:
     """Lexicographically smallest maximum free subset of the order-i window.
 
-    Free sets are exactly the complements of window hitting sets, so the
-    greedy scan keeps a cell whenever the remaining cells still admit a
-    hitting set of optimal size."""
-    constraints = window_constraints(family, i)
-    tau = minimum_hitting_set_size(constraints)
-    assert tau is not None
-    window = [(a, j) for a in range(i + 1) for j in range(1, family.n + 1)]
-    window.sort()
-    taken: set[Cell] = set()
-    for cell in window:
-        banned = taken | {cell}
-        trimmed = [c - banned for c in constraints]
-        if minimum_hitting_set_size(trimmed) == tau:
-            taken.add(cell)
-    return frozenset(taken)
+    Free sets are exactly the complements of window hitting sets.  A
+    backward pass over the pick automaton gives, for each column, the least
+    picks the later columns still need; the forward scan then takes, column
+    by column, the pick pattern that leaves the earliest cells free among
+    those that keep the total at tau."""
+    if i < 0:
+        raise ValueError("window order must be >= 0")
+    n = family.n
+    if not family.members:
+        return frozenset((a, j) for a in range(i + 1) for j in range(1, n + 1))
+    bits, allowed = pick_states(family)
+    full = (1 << bits) - 1
+    low = full >> n  # the part of a state the next step sees
+    cost = _popcounts(n)
+    states = np.arange(1 << bits, dtype=np.int64)
+    step_cost = cost[states & ((1 << n) - 1)]
+    seen_next = states & low
+    # rest[c][r]: least picks in columns c..i from a state whose low bits
+    # - n bits are r; rest[i + 1] = 0
+    rest = [np.zeros(low + 1, dtype=np.int64)]
+    for _ in range(i + 1):
+        through = np.where(allowed, step_cost + rest[-1][seen_next], INF)
+        rest.append(through.reshape(low + 1, 1 << n).min(axis=1))
+    rest.reverse()
+    # lexicographic preference: cell (a, 1) free first, then (a, 2), ...
+    order = sorted(range(1 << n), key=lambda p: [(p >> k) & 1 for k in range(n)])
+    state = full
+    free: set[Cell] = set()
+    for a in range(i + 1):
+        need = rest[a][state & low]
+        for pick in order:
+            nxt = ((state << n) | pick) & full
+            if allowed[nxt] and cost[pick] + rest[a + 1][nxt & low] == need:
+                break
+        free.update((a, j) for j in range(1, n + 1) if not pick >> (j - 1) & 1)
+        state = nxt
+    return frozenset(free)
 
 
 def monomial_krull_dim(supports: Sequence[Iterable], m: int) -> int | EmptyDimension:
@@ -213,6 +302,8 @@ def monomial_krull_dim(supports: Sequence[Iterable], m: int) -> int | EmptyDimen
 
 
 __all__ = [
+    "STATE_BIT_CAP",
+    "CapExceededError",
     "Cell",
     "EMPTY",
     "EmptyDimension",
@@ -223,7 +314,9 @@ __all__ = [
     "is_free",
     "max_free_subset",
     "monomial_krull_dim",
+    "pick_states",
     "tau_family",
     "window_constraints",
     "window_dim",
+    "window_taus",
 ]

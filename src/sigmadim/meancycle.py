@@ -20,6 +20,12 @@ import numpy as np
 INF = 1 << 60
 
 
+class CertificateError(RuntimeError):
+    """Raised when a computed result fails the exact check that certifies
+    it (a witness cycle, periodic pattern or bracket that does not hold).
+    The checks are explicit code, so they also run under ``python -O``."""
+
+
 class Graph:
     """Directed multigraph with integer edge weights and payload labels."""
 
@@ -159,11 +165,14 @@ def extract_min_mean_cycle(g: Graph, source: int = 0) -> tuple[Fraction, list[ob
                     cycle = (path[cut + 1 :] if cut >= 0 else list(path)) + [k]
                     node = v
                     for e in cycle:
-                        assert int(src[e]) == node
+                        if int(src[e]) != node:
+                            raise CertificateError(f"witness edges {cycle} do not form a walk")
                         node = int(dst[e])
-                    assert node == v
                     total = sum(int(wgt[e]) for e in cycle)
-                    assert Fraction(total, len(cycle)) == mean
+                    if node != v or Fraction(total, len(cycle)) != mean:
+                        raise CertificateError(
+                            f"witness {cycle} is not a closed walk of mean {mean}"
+                        )
                     return mean, [sub.label[e] for e in cycle]
                 if not color.get(v):
                     color[v] = 1
@@ -176,4 +185,4 @@ def extract_min_mean_cycle(g: Graph, source: int = 0) -> tuple[Fraction, list[ob
                 del entry[u]
                 if path:
                     path.pop()
-    raise AssertionError("tight subgraph of a graph with cycles must contain a cycle")
+    raise CertificateError("tight subgraph of a graph with cycles must contain a cycle")

@@ -29,6 +29,24 @@ def run_json(argv):
 
 
 class TestVerbs:
+    def test_cover_solves_one_cycle_mean(self, monkeypatch):
+        import sigmadim.covering
+        import sigmadim.meancycle
+
+        real = sigmadim.meancycle.minimum_cycle_mean
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (sigmadim.meancycle, sigmadim.covering):
+            monkeypatch.setattr(module, "minimum_cycle_mean", counting)
+        code, out, _ = run(["cover", "0,2,3"])
+        assert code == 0
+        assert out == "E = {0,2,3}\ndensity = 2/5\ncomplement: period 5, offsets {0,1}\n"
+        assert len(calls) == 1
+
     def test_sdim_monomial(self):
         data = run_json(["sdim", "--monomial", "y1*s(y1)", "--imax", "6"])
         assert data["verb"] == "sdim"

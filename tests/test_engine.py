@@ -9,14 +9,20 @@ of {s(y1)-y1-1, y1*y2-1} contains the pair supports {(0,2),(k,2)} coming
 from relations among the shifts of y2 alone.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sigmadim
 from sigmadim import (
     EMPTY,
     CapExceededError,
+    CertificateError,
     SigmaFamily,
     UnitIdealError,
     DifferencePolynomial,
@@ -32,7 +38,7 @@ from sigmadim import (
     window_dim,
 )
 from sigmadim.covering import IntSet, tau_interval, reflect
-from sigmadim.engine import DimEntry, DimensionReport
+from sigmadim.engine import DimEntry, DimensionReport, _family_report
 from conftest import mono, poly
 
 INTRO = lambda: [poly("y1*s(y1)", 2), poly("y1*y2 - y2*s(y2)", 2)]
@@ -95,6 +101,101 @@ class TestFamilyValue:
             via_cover = sigma_dim_univariate_monomial(m)
             via_family = sigma_dim_family(family_from_monomials([m], 1))
             assert via_cover == via_family, shifts
+
+    def test_report_sequence_matches_window_dim(self):
+        rng = random.Random(29)
+        for _ in range(12):
+            fam = random_family(rng, n=rng.randint(1, 2), max_ord=2)
+            rep = _family_report(fam, 12, check=True)
+            assert rep.d_sequence() == [window_dim(fam, i) for i in range(13)], fam
+            assert all(e.exact for e in rep.entries)
+
+
+YS = SigmaFamily(1, [[(0, 1), (1, 1)]])
+
+# sigma_dim_family(YS, check=True) fed a periodic witness that picks
+# nothing; run as a script so that it can also run under python -O
+CORRUPT_WITNESS = """
+import sigmadim.engine as engine
+from sigmadim import CertificateError, SigmaFamily
+
+real = engine.extract_min_mean_cycle
+engine.extract_min_mean_cycle = lambda g, source=0: (real(g, source)[0], [0, 0])
+try:
+    engine.sigma_dim_family(SigmaFamily(1, [[(0, 1), (1, 1)]]), check=True)
+except CertificateError as exc:
+    print("caught:", exc)
+"""
+
+
+class TestCertificateChecks:
+    """Each test corrupts one input of a certificate check, which must then
+    raise CertificateError (an explicit check, not an assert)."""
+
+    def _patch_witness(self, monkeypatch, module, mean=None, labels=None):
+        real = module.extract_min_mean_cycle
+
+        def corrupted(g, source=0):
+            m, lab = real(g, source)
+            return (m if mean is None else mean), (lab if labels is None else labels)
+
+        monkeypatch.setattr(module, "extract_min_mean_cycle", corrupted)
+
+    def test_periodic_witness(self, monkeypatch):
+        import sigmadim.engine
+
+        self._patch_witness(monkeypatch, sigmadim.engine, labels=[0, 0])
+        with pytest.raises(CertificateError):
+            sigma_dim_family(YS, check=True)
+
+    def test_witness_mean(self, monkeypatch):
+        import sigmadim.engine
+
+        self._patch_witness(monkeypatch, sigmadim.engine, mean=Fraction(1, 3))
+        with pytest.raises(CertificateError):
+            sigma_dim_family(YS, check=True)
+
+    def test_window_bracket(self, monkeypatch):
+        import sigmadim.engine
+
+        monkeypatch.setattr(
+            sigmadim.engine, "window_taus", lambda fam, i_max: [i + 1 for i in range(i_max + 1)]
+        )
+        with pytest.raises(CertificateError):
+            sigma_dim_family(YS, check=True)
+
+    def test_univariate_cross_check(self, monkeypatch):
+        import sigmadim.engine
+
+        monkeypatch.setattr(
+            sigmadim.engine, "sigma_dim_family", lambda fam, check=False: Fraction(1, 3)
+        )
+        with pytest.raises(CertificateError):
+            sigma_dim([mono("y1*s(y1)", 1)], i_max=3, check=True)
+
+    def test_complement_density(self, monkeypatch):
+        import sigmadim.covering
+
+        self._patch_witness(monkeypatch, sigmadim.covering, mean=Fraction(1, 3))
+        with pytest.raises(CertificateError):
+            sigmadim.covering.optimal_complement(IntSet([0, 1]))
+
+    def test_complement_cover(self, monkeypatch):
+        import sigmadim.covering
+
+        self._patch_witness(monkeypatch, sigmadim.covering, mean=Fraction(1, 3), labels=[1, 0, 0])
+        with pytest.raises(CertificateError):
+            sigmadim.covering.optimal_complement(IntSet([0, 1]))
+
+    def test_periodic_witness_under_optimize(self):
+        src = str(Path(sigmadim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", CORRUPT_WITNESS],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("caught:"), done.stdout
 
 
 class TestTruncation:

@@ -11,6 +11,7 @@ import pytest
 
 from sigmadim import (
     EMPTY,
+    CapExceededError,
     SigmaFamily,
     SupportSet,
     UnitIdealError,
@@ -20,7 +21,10 @@ from sigmadim import (
     monomial_krull_dim,
     tau_family,
     window_dim,
+    window_taus,
 )
+from sigmadim.families import STATE_BIT_CAP, window_constraints
+from sigmadim.transversal import minimum_hitting_set_size
 from conftest import brute_max_free_size, brute_min_hitting_set_size, mono
 
 YS = SigmaFamily(1, [[(0, 1), (1, 1)]])  # the y*s(y) family
@@ -82,7 +86,7 @@ class TestTau:
         for _ in range(25):
             fam = random_family(rng)
             i = rng.randint(0, 4)
-            from sigmadim.families import window_constraints
+            from sigmadim.families import STATE_BIT_CAP, window_constraints
 
             assert tau_family(fam, i) == (
                 brute_min_hitting_set_size(window_constraints(fam, i)) or 0
@@ -99,6 +103,38 @@ class TestTau:
             for i in range(5):
                 lo, hi = tau_family(fam, i), tau_family(fam, i + 1)
                 assert lo <= hi <= lo + fam.n
+
+
+class TestWindowTaus:
+    def test_matches_branch_and_bound(self):
+        # the automaton pass against the hitting-set oracle it replaced
+        rng = random.Random(12)
+        for _ in range(300):
+            fam = random_family(rng)
+            taus = window_taus(fam, 10)
+            for i in range(11):
+                assert taus[i] == minimum_hitting_set_size(window_constraints(fam, i)), (fam, i)
+
+    def test_prefix_of_longer_pass(self):
+        rng = random.Random(13)
+        for _ in range(10):
+            fam = random_family(rng)
+            assert window_taus(fam, 4) == window_taus(fam, 12)[:5]
+            assert window_taus(fam, 12)[7] == tau_family(fam, 7)
+
+    def test_empty_family_and_empty_range(self):
+        assert window_taus(SigmaFamily(3, []), 4) == [0] * 5
+        assert window_taus(YS, -1) == []
+
+    def test_cap_exceeded(self):
+        wide = SigmaFamily(1, [[(0, 1), (STATE_BIT_CAP, 1)]])
+        for call in (window_taus, tau_family, window_dim, max_free_subset):
+            with pytest.raises(CapExceededError):
+                call(wide, 0)
+
+    def test_cap_reached(self):
+        at_cap = SigmaFamily(2, [[(0, 1), (STATE_BIT_CAP // 2 - 1, 2)]])
+        assert window_dim(at_cap, 2) == 6
 
 
 class TestWindowDim:
@@ -138,7 +174,7 @@ class TestWindowDim:
     def test_complementarity_twenty_cells(self):
         import numpy as np
 
-        from sigmadim.families import window_constraints
+        from sigmadim.families import STATE_BIT_CAP, window_constraints
 
         for fam, i in [(YS, 19), (SigmaFamily(2, [[(0, 1), (0, 2)]]), 9)]:
             cells = [(a, j) for a in range(i + 1) for j in range(1, fam.n + 1)]
@@ -209,6 +245,23 @@ class TestMaxFreeSubset:
                     best = list(combo)
                     break
             assert T == (best or [])
+
+
+    def test_matches_hitting_set_greedy(self):
+        # the greedy scan over branch-and-bound hitting sets that the
+        # automaton backtrack replaced, n <= 2
+        rng = random.Random(8)
+        for _ in range(25):
+            fam = random_family(rng)
+            i = rng.randint(0, 5)
+            constraints = window_constraints(fam, i)
+            tau = minimum_hitting_set_size(constraints)
+            taken: set = set()
+            for cell in sorted((a, j) for a in range(i + 1) for j in range(1, fam.n + 1)):
+                banned = taken | {cell}
+                if minimum_hitting_set_size([c - banned for c in constraints]) == tau:
+                    taken.add(cell)
+            assert max_free_subset(fam, i) == taken, (fam, i)
 
 
 class TestMonomialKrullDim:
