@@ -3,12 +3,15 @@
 For finite E containing 0, tau(E, i) is the least number of translates of
 E covering {1..i}, and the covering density c(E) = lim tau(E, i)/i.  Both
 are computed exactly: tau by a forward DP over coverage bitmasks, c as the
-minimum mean cycle of the coverage-state automaton.
+minimum mean cycle of the coverage-state automaton, which `meancycle`
+finds by policy iteration and certifies with a witness cycle and an
+integer potential.
 
 The automaton state is a (span)-bit mask recording which of the next span
 positions are already covered by translates placed so far.  Scanning one
 position decides whether to place a translate there (weight 1) or not
 (weight 0); the edge exists only if the position scanned ends up covered.
+The edges are built as numpy arrays, two candidate steps per state.
 Infinite feasible walks are exactly the complements covering a ray, so
 periodic complements correspond to cycles and the optimal density to the
 minimum cycle mean.
@@ -132,18 +135,15 @@ def tau_interval(e: IntSet, i: int) -> int:
 def coverage_graph(e: IntSet) -> Graph:
     """The coverage-state automaton; edge labels are 0/1 placement bits."""
     span = e.span
-    maskE = e.mask()
     if span == 0:
-        g = Graph(1)
-        g.add_edge(0, 0, 1, 1)  # must place at every position
-        return g
-    g = Graph(1 << span)
-    for s in range(1 << span):
-        if s & 1:
-            g.add_edge(s, s >> 1, 0, 0)
-        m = s | maskE
-        g.add_edge(s, m >> 1, 1, 1)
-    return g
+        return Graph(1, [0], [0], [1], [1])  # must place at every position
+    states = np.arange(1 << span, dtype=np.int64)
+    # per state: skip (allowed only if bit 0 is covered), then place
+    src = np.repeat(states, 2)
+    dst = np.stack((states >> 1, (states | e.mask()) >> 1), axis=1).ravel()
+    placed = np.tile(np.array([0, 1], dtype=np.int64), 1 << span)
+    ok = (placed == 1) | (src & 1 == 1)
+    return Graph(1 << span, src[ok], dst[ok], placed[ok], placed[ok])
 
 
 def covering_density(e: IntSet, check: bool = False) -> Fraction:

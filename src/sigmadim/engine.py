@@ -30,6 +30,7 @@ from .families import (
     SigmaFamily,
     UnitIdealError,
     family_from_monomials,
+    _popcounts,
     pick_states,
     window_taus,
 )
@@ -132,15 +133,17 @@ def _pick_graph(family: SigmaFamily) -> Graph:
     n = family.n
     bits, allowed = pick_states(family)
     full = (1 << bits) - 1
-    g = Graph(1 << bits)
+    cost = _popcounts(n)
     states = np.arange(1 << bits, dtype=np.int64)
-    for pick in range(1 << n):
-        nxt = ((states << n) | pick) & full
+    src, dst, pick = [], [], []
+    for p in range(1 << n):
+        nxt = ((states << n) | p) & full
         ok = allowed[nxt]
-        weight = bin(pick).count("1")
-        for u, v in zip(states[ok].tolist(), nxt[ok].tolist()):
-            g.add_edge(u, v, weight, pick)
-    return g
+        src.append(states[ok])
+        dst.append(nxt[ok])
+        pick.append(np.full(len(dst[-1]), p, dtype=np.int64))
+    pick = np.concatenate(pick)
+    return Graph(1 << bits, np.concatenate(src), np.concatenate(dst), cost[pick], pick)
 
 
 def _verify_periodic_picks(family: SigmaFamily, picks: list[int]) -> bool:
@@ -160,27 +163,29 @@ def sigma_dim_family(family: SigmaFamily, check: bool = False) -> Fraction:
     """Exact sigma-dimension n - C of a squarefree monomial family, where
     C = lim tau(family, i)/(i+1) is the minimum mean pick rate per column.
 
-    With check=True the mean is certified from both sides: finite window
-    transversal ratios (which never exceed C) and a periodic transversal
-    witness of density exactly C extracted from the optimal cycle."""
+    With check=True, C is taken with a witness cycle from one solve and
+    checked independently of the solver: the witness, read as a periodic
+    column-pick pattern, has density exactly C and hits every shifted
+    member, and finite window transversal ratios never exceed C."""
     if not family.members:
         return Fraction(family.n)
     graph = _pick_graph(family)
-    c = minimum_cycle_mean(graph, source=0)
-    if check:
-        w = family.width
-        taus = window_taus(family, 8 * w)
-        for i in (2 * w, 4 * w, 8 * w):
-            ratio = Fraction(taus[i], i + 1)
-            if ratio > c:
-                raise CertificateError(
-                    f"{family}: window ratio tau_{i}/{i + 1} = {ratio} exceeds the cycle mean {c}"
-                )
-        mean, picks = extract_min_mean_cycle(graph, source=0)
-        if mean != c:
-            raise CertificateError(f"{family}: witness cycle mean {mean} differs from {c}")
-        if not _verify_periodic_picks(family, picks):
-            raise CertificateError(f"{family}: periodic picks {picks} miss a shifted member")
+    if not check:
+        return family.n - minimum_cycle_mean(graph, source=0)
+    c, picks = extract_min_mean_cycle(graph, source=0)
+    density = Fraction(sum(bin(p).count("1") for p in picks), len(picks))
+    if density != c:
+        raise CertificateError(f"{family}: periodic picks {picks} have density {density}, not {c}")
+    w = family.width
+    taus = window_taus(family, 8 * w)
+    for i in (2 * w, 4 * w, 8 * w):
+        ratio = Fraction(taus[i], i + 1)
+        if ratio > c:
+            raise CertificateError(
+                f"{family}: window ratio tau_{i}/{i + 1} = {ratio} exceeds the cycle mean {c}"
+            )
+    if not _verify_periodic_picks(family, picks):
+        raise CertificateError(f"{family}: periodic picks {picks} miss a shifted member")
     return family.n - c
 
 
@@ -245,7 +250,11 @@ def truncated_dim_sequence(
         kind = "upper_bound"
     elif all_order0:
         d0 = entries[0].d
-        assert all(e.d == d0 * (e.i + 1) for e in entries)
+        for e in entries:
+            if e.d != d0 * (e.i + 1):
+                raise CertificateError(
+                    f"order-0 system: d_{e.i} = {e.d} is not (i + 1) * d_0 = {d0 * (e.i + 1)}"
+                )
         certified_value = Fraction(d0)
         kind = "exact"
     else:

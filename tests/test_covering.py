@@ -145,3 +145,18 @@ class TestOptimalComplement:
         a = optimal_complement(IntSet([0, 2, 3]))
         b = optimal_complement(IntSet([0, 2, 3]))
         assert (a.period, a.offsets) == (b.period, b.offsets)
+
+
+def test_coverage_graph_edges_match_a_loop():
+    from sigmadim.covering import coverage_graph
+
+    for elements in ([0], [0, 1], [0, 2, 3], [0, 1, 5], [0, 3, 4, 7]):
+        e = IntSet(elements)
+        want = []
+        for s in range(1 << e.span) if e.span else [0]:
+            if e.span and s & 1:
+                want.append((s, s >> 1, 0, 0))
+            want.append((s, (s | e.mask()) >> 1 if e.span else 0, 1, 1))
+        g = coverage_graph(e)
+        got = list(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist(), g.label.tolist()))
+        assert got == want, e

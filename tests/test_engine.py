@@ -38,7 +38,7 @@ from sigmadim import (
     window_dim,
 )
 from sigmadim.covering import IntSet, tau_interval, reflect
-from sigmadim.engine import DimEntry, DimensionReport, _family_report
+from sigmadim.engine import DimEntry, DimensionReport, _family_report, _pick_graph
 from conftest import mono, poly
 
 INTRO = lambda: [poly("y1*s(y1)", 2), poly("y1*y2 - y2*s(y2)", 2)]
@@ -109,6 +109,25 @@ class TestFamilyValue:
             rep = _family_report(fam, 12, check=True)
             assert rep.d_sequence() == [window_dim(fam, i) for i in range(13)], fam
             assert all(e.exact for e in rep.entries)
+
+    def test_pick_graph_edges_match_a_loop(self):
+        rng = random.Random(43)
+        for _ in range(12):
+            fam = random_family(rng, n=rng.randint(1, 3), max_ord=2)
+            n, bits = fam.n, fam.n * fam.width
+            want = []
+            for pick in range(1 << n):
+                for u in range(1 << bits):
+                    v = ((u << n) | pick) & ((1 << bits) - 1)
+                    window = [(v >> (n * a)) & ((1 << n) - 1) for a in range(fam.width)]
+                    if all(
+                        any(window[s.ord - a] >> (j - 1) & 1 for a, j in s.cells)
+                        for s in fam.members
+                    ):
+                        want.append((u, v, bin(pick).count("1"), pick))
+            g = _pick_graph(fam)
+            got = list(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist(), g.label.tolist()))
+            assert got == want, fam
 
 
 YS = SigmaFamily(1, [[(0, 1), (1, 1)]])
@@ -186,6 +205,34 @@ class TestCertificateChecks:
         self._patch_witness(monkeypatch, sigmadim.covering, mean=Fraction(1, 3), labels=[1, 0, 0])
         with pytest.raises(CertificateError):
             sigmadim.covering.optimal_complement(IntSet([0, 1]))
+
+    def test_order_zero_exactness(self, monkeypatch):
+        import sigmadim.engine
+
+        # d_i = i + 2 for an order-0 system: not (i + 1) * d_0
+        monkeypatch.setattr(
+            sigmadim.engine, "ideal_dimension", lambda gens, variables: len(variables) // 2 + 1
+        )
+        with pytest.raises(CertificateError):
+            truncated_dim_sequence([poly("y1*y2", 2)], 3)
+
+    def test_checked_family_solves_once(self, monkeypatch):
+        import sigmadim.engine
+        import sigmadim.meancycle
+
+        real = sigmadim.meancycle.minimum_cycle_mean
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (sigmadim.meancycle, sigmadim.engine):
+            monkeypatch.setattr(module, "minimum_cycle_mean", counting)
+        for fam in (YS, SigmaFamily(2, [[(0, 1), (1, 2)], [(0, 2), (2, 1)]])):
+            calls.clear()
+            sigma_dim_family(fam, check=True)
+            assert len(calls) == 1, fam
 
     def test_periodic_witness_under_optimize(self):
         src = str(Path(sigmadim.__file__).resolve().parents[1])
