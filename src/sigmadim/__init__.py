@@ -56,15 +56,6 @@ from .lab import (
 )
 from .meancycle import CertificateError
 from .parsing import ParseError, parse_polynomial, polynomial_text
-from .polynomials import (
-    DifferencePolynomial,
-    SigmaDegree,
-    SigmaMonomial,
-    SigmaVariable,
-    homogenize,
-    is_sigma_homogeneous,
-    shift,
-    sigma_degree,
-)
+from .polynomials import DifferencePolynomial, SigmaMonomial, SigmaVariable
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 parse/usage error, 3 budget or cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -308,9 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: built on the first call only.  Reuse is
+    safe because argparse copies an ``append`` default before extending it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -34,7 +34,7 @@ from .families import (
     pick_states,
     window_taus,
 )
-from .groebner import LEX, buchberger, eliminate, ideal_dimension, leading_monomial_ideal
+from .groebner import LEX, GroebnerBasis, basis_dimension, buchberger, eliminate, leading_monomial_ideal
 from .meancycle import CertificateError, Graph, extract_min_mean_cycle, minimum_cycle_mean
 from .polynomials import DifferencePolynomial, SigmaMonomial, SigmaVariable
 
@@ -74,6 +74,8 @@ class DimensionReport:
     family_value: Optional[Fraction] = None
     truncation_depth: Optional[int] = None
     linear_tail: Optional[LinearTail] = field(default=None)
+    # reduced Groebner basis of the deepest truncation window
+    basis: Optional[GroebnerBasis] = field(default=None, repr=False, compare=False)
 
     def d_sequence(self) -> list[Union[int, EmptyDimension]]:
         return [e.d for e in self.entries]
@@ -239,8 +241,8 @@ def truncated_dim_sequence(
 
     entries: list[DimEntry] = []
     for i in range(i_max + 1):
-        d = ideal_dimension(truncation_generators(F, i), _window_vars(i, n))
-        entries.append(DimEntry(i, d, exact))
+        basis = buchberger(truncation_generators(F, i), _window_vars(i, n), LEX)
+        entries.append(DimEntry(i, basis_dimension(basis), exact))
 
     ratios = [
         Fraction(e.d, e.i + 1) for e in entries if not isinstance(e.d, EmptyDimension)
@@ -266,9 +268,17 @@ def truncated_dim_sequence(
         certified_value=certified_value,
         certified_kind=kind,
         truncation_depth=i_max,
+        basis=basis,
     )
     report.linear_tail = detect_eventual_linear(report)
     return report
+
+
+def _leading_family(basis: GroebnerBasis, n: int) -> SigmaFamily:
+    if basis.is_unit_ideal:
+        raise UnitIdealError("truncation is the unit ideal")
+    lms = leading_monomial_ideal(basis)
+    return family_from_monomials([m.squarefree_part() for m in lms], n)
 
 
 def monomialize(F: Sequence[DifferencePolynomial], i_max: int) -> SigmaFamily:
@@ -280,12 +290,8 @@ def monomialize(F: Sequence[DifferencePolynomial], i_max: int) -> SigmaFamily:
     if not F:
         raise ValueError("empty system")
     n = F[0].num_vars
-    gens = truncation_generators(F, i_max)
-    basis = buchberger(gens, _window_vars(i_max, n), LEX)
-    if basis.is_unit_ideal:
-        raise UnitIdealError("truncation is the unit ideal")
-    lms = leading_monomial_ideal(basis)
-    return family_from_monomials([m.squarefree_part() for m in lms], n)
+    basis = buchberger(truncation_generators(F, i_max), _window_vars(i_max, n), LEX)
+    return _leading_family(basis, n)
 
 
 def not_free_certificate(
@@ -398,15 +404,9 @@ def sigma_dim(
             report = truncated_dim_sequence(nonzero, depth)
             if any(isinstance(e.d, EmptyDimension) for e in report.entries):
                 raise UnitIdealError("the system generates the unit ideal")
-            if with_family:
-                try:
-                    family = monomialize(nonzero, depth)
-                except UnitIdealError:
-                    family = None
-                if family is not None:
-                    report.family = family
-                    report.family_value = sigma_dim_family(family, check=check)
-                    report.truncation_depth = depth
+            if with_family:  # the family of the deepest window's basis, as monomialize gives
+                report.family = _leading_family(report.basis, n)
+                report.family_value = sigma_dim_family(report.family, check=check)
             return report
         monomials = [next(iter(f.terms)) for f in nonzero]
 

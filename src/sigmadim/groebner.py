@@ -10,11 +10,20 @@ This order is a multiplicative well-order, is compatible with the shift
 (ord(m1) < ord(m2) implies m1 < m2), which is what makes leading-monomial
 ideals of shift-stable ideals shift-stable again.  Elimination uses the
 variant ranking the eliminated variables above all kept ones.
+
+`buchberger` ranks the ring's variables once and works on packed exponent
+tuples, keeps its S-pairs in a heap ordered by lcm, and prunes them with
+the Gebauer-Moeller criteria (Gebauer & Moeller 1988, *On an installation
+of Buchberger's algorithm*); only the final reduced basis is turned back
+into DifferencePolynomials.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from itertools import chain
+from operator import add, ge, neg, sub
 from typing import Callable, Iterable, Sequence
 
 from .families import EMPTY, EmptyDimension, monomial_krull_dim
@@ -93,27 +102,111 @@ class GroebnerBasis:
         return f"GroebnerBasis({[str(g) for g in self.generators]})"
 
 
+# -- packed exponents ---------------------------------------------------------
+#
+# Inside `reduce` and `buchberger` a monomial is a tuple of exponents over
+# the ring's variables listed from the highest-ranked down, so comparing
+# two tuples is the lex comparison of the order, `max` of a term dict is
+# the leading monomial, and divisibility, lcm and quotients are `map` over
+# the tuples.  A polynomial is a dict from packed monomials to exact
+# rationals, held as ints while they are integral (int arithmetic is much
+# cheaper than Fraction arithmetic); a basis element is kept monic as
+# (leading monomial, tail dict).
+
+
+def _ring(variables: Iterable[SigmaVariable], order: MonomialOrder) -> list[SigmaVariable]:
+    """The ring's variables from the highest-ranked down."""
+    return sorted(variables, key=order._rank, reverse=True)
+
+
+def _exact(c: Fraction) -> int | Fraction:
+    """c, as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _pack(f: DifferencePolynomial, index: dict[SigmaVariable, int]) -> dict:
+    width = len(index)
+    out = {}
+    for m, c in f.terms.items():
+        e = [0] * width
+        for v, x in m.exps:
+            e[index[v]] = x
+        out[tuple(e)] = _exact(c)
+    return out
+
+
+def _unpack(p: dict, ring: list[SigmaVariable], num_vars: int) -> DifferencePolynomial:
+    return DifferencePolynomial(
+        {SigmaMonomial((v, x) for v, x in zip(ring, e) if x): c for e, c in p.items()},
+        num_vars,
+    )
+
+
+def _divides(a: tuple, b: tuple) -> bool:
+    return all(map(ge, b, a))
+
+
+def _coprime(a: tuple, b: tuple) -> bool:
+    return not any(map(min, a, b))
+
+
+def _monic(p: dict) -> tuple[tuple, dict]:
+    """(leading monomial, tail divided by the leading coefficient)."""
+    lm = max(p)
+    lc = p.pop(lm)
+    if lc != 1:
+        p = {m: _exact(Fraction(c) / lc) for m, c in p.items()}
+    return lm, p
+
+
+def _normal_form(p: dict, divisors: Sequence[tuple[tuple, dict]]) -> dict:
+    """Full normal form of p (consumed) modulo monic (lm, tail) divisors:
+    the leading term is reduced by the first divisor whose leading
+    monomial divides it, or moved to the remainder.  The terms of p wait
+    in a heap keyed by the negated exponents, so the leading term is a
+    pop; an entry whose term has cancelled since is skipped."""
+    remainder = {}
+    heap = [(tuple(map(neg, m)), m) for m in p]
+    heapq.heapify(heap)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = p.pop(m, None)
+        if c is None:
+            continue
+        for lm, tail in divisors:
+            if all(map(ge, m, lm)):
+                q = tuple(map(sub, m, lm))
+                for t, ct in tail.items():
+                    mt = tuple(map(add, q, t))
+                    v = p.get(mt)
+                    if v is None:
+                        heapq.heappush(heap, (tuple(map(neg, mt)), mt))
+                        v = -c * ct
+                    else:
+                        v -= c * ct
+                        if not v:
+                            del p[mt]
+                            continue
+                    p[mt] = v if v.__class__ is int else _exact(v)
+                break
+        else:
+            remainder[m] = c
+    return remainder
+
+
 def reduce(
     f: DifferencePolynomial,
     G: Sequence[DifferencePolynomial],
     order: MonomialOrder = LEX,
 ) -> DifferencePolynomial:
     """Full normal form of f modulo G: no monomial of the remainder is
-    divisible by any leading monomial of G, and f - remainder lies in (G)."""
-    divisors = [(g, *order.leading(g)) for g in G if not g.is_zero]
-    remainder: dict[SigmaMonomial, Fraction] = {}
-    work = f
-    while not work.is_zero:
-        m, c = order.leading(work)
-        hit = next(((g, lm, lc) for g, lm, lc in divisors if lm.divides(m)), None)
-        if hit is None:
-            remainder[m] = remainder.get(m, Fraction(0)) + c
-            work = work - DifferencePolynomial({m: c}, f.num_vars)
-        else:
-            g, lm, lc = hit
-            factor = DifferencePolynomial({m / lm: c / lc}, f.num_vars)
-            work = work - factor * g
-    return DifferencePolynomial(remainder, f.num_vars)
+    divisible by any leading monomial of G, and f - remainder lies in (G).
+    Each leading term is reduced by the first g in G that can."""
+    G = [g for g in G if not g.is_zero]
+    ring = _ring(f.support_vars().union(*(g.support_vars() for g in G)), order)
+    index = {v: k for k, v in enumerate(ring)}
+    divisors = [_monic(_pack(g, index)) for g in G]
+    return _unpack(_normal_form(_pack(f, index), divisors), ring, f.num_vars)
 
 
 def s_polynomial(
@@ -127,9 +220,82 @@ def s_polynomial(
     return uf * f - ug * g
 
 
-def _monic(f: DifferencePolynomial, order: MonomialOrder) -> DifferencePolynomial:
-    _, c = order.leading(f)
-    return f.scale(Fraction(1) / c)
+def _reduced_basis(polys: list[dict]) -> list[tuple[tuple, dict]] | None:
+    """Reduced monic Groebner basis of packed polynomials as (lm, tail)
+    pairs sorted by leading monomial; None for the unit ideal.
+
+    Pairs wait in a heap keyed by the lcm of their leading monomials (the
+    normal strategy); the Gebauer-Moeller update applies the product and
+    chain criteria when a polynomial joins, so no pair is rescanned."""
+    lms: list[tuple] = []
+    tails: list[dict] = []
+    active: list[int] = []  # indices whose lm no later lm divides
+    heap: list[tuple[tuple, int, int]] = []
+
+    def join(p: dict) -> bool:
+        """Add a nonzero normal form; False if it is a constant."""
+        lm, tail = _monic(p)
+        if not any(lm):
+            return False
+        k = len(lms)
+        lms.append(lm)
+        tails.append(tail)
+        # new pairs: keep one pair per minimal lcm, then drop coprime ones
+        fresh = [(tuple(map(max, lm, lms[g])), g) for g in active]
+        kept = []
+        while fresh:
+            lcm, g = fresh.pop()
+            if _coprime(lm, lms[g]) or not any(
+                _divides(other, lcm) for other, _ in chain(fresh, kept)
+            ):
+                kept.append((lcm, g))
+        # drop old pairs (a, b) the new lm makes redundant: it divides their
+        # lcm, and lcm(a, new) and lcm(b, new) both differ from that lcm
+        old = [
+            (lcm, a, b)
+            for lcm, a, b in heap
+            if not (
+                _divides(lm, lcm)
+                and tuple(map(max, lms[a], lm)) != lcm
+                and tuple(map(max, lms[b], lm)) != lcm
+            )
+        ]
+        if len(old) < len(heap):
+            heap[:] = old
+            heapq.heapify(heap)
+        for lcm, g in kept:
+            if not _coprime(lm, lms[g]):
+                heapq.heappush(heap, (lcm, g, k))
+        active[:] = [g for g in active if not _divides(lm, lms[g])] + [k]
+        return True
+
+    def divisors():
+        return [(lms[g], tails[g]) for g in active]
+
+    for p in sorted(polys, key=max):
+        r = _normal_form(p, divisors())
+        if r and not join(r):
+            return None
+    while heap:
+        lcm, a, b = heapq.heappop(heap)
+        qa = tuple(map(sub, lcm, lms[a]))
+        qb = tuple(map(sub, lcm, lms[b]))
+        s = {tuple(map(add, qa, t)): c for t, c in tails[a].items()}
+        for t, c in tails[b].items():
+            m = tuple(map(add, qb, t))
+            v = s.get(m, 0) - c
+            if v:
+                s[m] = v if v.__class__ is int else _exact(v)
+            else:
+                del s[m]
+        r = _normal_form(s, divisors())
+        if r and not join(r):
+            return None
+    basis = []
+    for g in sorted(active, key=lms.__getitem__):
+        others = [(lms[h], tails[h]) for h in active if h != g]
+        basis.append((lms[g], _normal_form(dict(tails[g]), others)))
+    return basis
 
 
 def buchberger(
@@ -139,10 +305,10 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of (F).
 
-    Pair processing uses the product (coprimality) criterion and
-    Buchberger's chain criterion; every intermediate result is normalized
-    to monic to control coefficient growth.  The unit ideal yields the
-    basis [1]; the zero ideal yields []."""
+    The ring's variables are ranked once by the order and every monomial
+    is packed into an exponent tuple; coefficients stay exact rationals and
+    every basis element is kept monic.  The unit ideal yields the basis
+    [1]; the zero ideal yields []."""
     polys = [f for f in F if not f.is_zero]
     if variables is not None:
         variables = frozenset(SigmaVariable(*v) for v in variables)
@@ -154,59 +320,13 @@ def buchberger(
         variables = frozenset().union(*(f.support_vars() for f in polys)) if polys else frozenset()
 
     num_vars = F[0].num_vars if F else 0
-    G: list[DifferencePolynomial] = []
-    lms: list[SigmaMonomial] = []
-    for f in sorted(polys, key=lambda f: order.key(order.leading(f)[0])):
-        r = reduce(f, G, order)
-        if not r.is_zero:
-            G.append(_monic(r, order))
-            lms.append(order.leading(G[-1])[0])
-
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
-    done: set[tuple[int, int]] = set()
-
-    def chain_skippable(i: int, j: int) -> bool:
-        lcm = lms[i].lcm(lms[j])
-        for k in range(len(G)):
-            if k in (i, j) or not lms[k].divides(lcm):
-                continue
-            a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
-            if a in done and b in done:
-                return True
-        return False
-
-    while pairs:
-        i, j = min(pairs, key=lambda p: (order.key(lms[p[0]].lcm(lms[p[1]])), p))
-        pairs.discard((i, j))
-        done.add((i, j))
-        if lms[i].is_coprime(lms[j]) or chain_skippable(i, j):
-            continue
-        r = reduce(s_polynomial(G[i], G[j], order), G, order)
-        if r.is_zero:
-            continue
-        G.append(_monic(r, order))
-        lms.append(order.leading(G[-1])[0])
-        k = len(G) - 1
-        pairs |= {(t, k) for t in range(k)}
-
-    # minimalize: drop generators whose lm is divisible by another lm
-    # (no two lms are equal: every added lm is irreducible mod the others)
-    minimal = [
-        G[i]
-        for i in range(len(G))
-        if not any(j != i and lms[j].divides(lms[i]) for j in range(len(G)))
-    ]
-    # detect the unit ideal
-    if any(g.is_constant() for g in minimal):
-        one = DifferencePolynomial.constant(1, num_vars)
-        return GroebnerBasis([one], variables, order)
-    # tail-reduce each generator against the others
-    reduced: list[DifferencePolynomial] = []
-    for i, g in enumerate(minimal):
-        others = [minimal[j] for j in range(len(minimal)) if j != i]
-        reduced.append(_monic(reduce(g, others, order), order))
-    reduced.sort(key=lambda g: order.key(order.leading(g)[0]))
-    return GroebnerBasis(reduced, variables, order)
+    ring = _ring(variables, order)
+    index = {v: k for k, v in enumerate(ring)}
+    basis = _reduced_basis([_pack(f, index) for f in polys])
+    if basis is None:
+        return GroebnerBasis([DifferencePolynomial.constant(1, num_vars)], variables, order)
+    generators = [_unpack({lm: 1} | tail, ring, num_vars) for lm, tail in basis]
+    return GroebnerBasis(generators, variables, order)
 
 
 def leading_monomial_ideal(G: GroebnerBasis) -> list[SigmaMonomial]:
@@ -215,19 +335,22 @@ def leading_monomial_ideal(G: GroebnerBasis) -> list[SigmaMonomial]:
     return [G.order.leading(g)[0] for g in G.generators]
 
 
+def basis_dimension(basis: GroebnerBasis) -> int | EmptyDimension:
+    """Krull dimension of k[basis.variables]/(basis), via the leading-monomial
+    ideal: the number of variables minus a minimum hitting set of the
+    squarefree lm supports.  EMPTY for the unit ideal (zero ring)."""
+    if basis.is_unit_ideal:
+        return EMPTY
+    supports = [m.support() for m in leading_monomial_ideal(basis)]
+    return monomial_krull_dim(supports, len(basis.variables))
+
+
 def ideal_dimension(
     F: Sequence[DifferencePolynomial],
     variables: Iterable[SigmaVariable],
 ) -> int | EmptyDimension:
-    """Krull dimension of k[variables]/(F), via the leading-monomial ideal:
-    |variables| minus a minimum hitting set of the squarefree lm supports.
-    EMPTY for the unit ideal (zero ring)."""
-    variables = frozenset(SigmaVariable(*v) for v in variables)
-    basis = buchberger(F, variables, LEX)
-    if basis.is_unit_ideal:
-        return EMPTY
-    supports = [m.support() for m in leading_monomial_ideal(basis)]
-    return monomial_krull_dim(supports, len(variables))
+    """Krull dimension of k[variables]/(F); EMPTY for the unit ideal."""
+    return basis_dimension(buchberger(F, variables, LEX))
 
 
 def eliminate(

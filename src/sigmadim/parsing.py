@@ -17,8 +17,6 @@ mirror is ``{"n": ..., "members": [[[shift, index], ...], ...]}``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
-
 from .families import SigmaFamily, SupportSet
 from .polynomials import DifferencePolynomial, SigmaMonomial
 
@@ -219,7 +217,3 @@ def family_to_json(family: SigmaFamily) -> dict:
 
 def family_from_json(data: dict) -> SigmaFamily:
     return SigmaFamily(int(data["n"]), [[tuple(c) for c in member] for member in data["members"]])
-
-
-def parse_system(texts: Sequence[str], num_vars: int) -> list[DifferencePolynomial]:
-    return [parse_polynomial(t, num_vars) for t in texts]

@@ -11,9 +11,7 @@ Representation:
   SigmaMonomial          sorted tuple of ((shift, index), exponent) pairs
   DifferencePolynomial   map from monomials to nonzero Fraction coefficients
 
-Coefficients are `fractions.Fraction`, so all arithmetic is exact.  Index 0
-is reserved for the auxiliary homogenization variable y0 and never appears
-in user-constructed polynomials.
+Coefficients are `fractions.Fraction`, so all arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -37,50 +35,6 @@ class SigmaVariable(NamedTuple):
         if self.shift == 1:
             return f"s(y{self.index})"
         return f"s^{self.shift}(y{self.index})"
-
-
-class SigmaDegree:
-    """Element of N[s]: for each shift i, the total degree in the block
-    s^i(y_0),...,s^i(y_n).  Supports componentwise addition."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        self.coeffs: tuple[tuple[int, int], ...] = tuple(
-            sorted((i, c) for i, c in items if c != 0)
-        )
-
-    def degree_in(self, shift: int) -> int:
-        for i, c in self.coeffs:
-            if i == shift:
-                return c
-        return 0
-
-    def __add__(self, other: "SigmaDegree") -> "SigmaDegree":
-        total = dict(self.coeffs)
-        for i, c in other.coeffs:
-            total[i] = total.get(i, 0) + c
-        return SigmaDegree(total)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SigmaDegree) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "SigmaDegree(0)"
-        parts = []
-        for i, c in self.coeffs:
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*s")
-            else:
-                parts.append(f"{c}*s^{i}")
-        return "SigmaDegree(" + " + ".join(parts) + ")"
 
 
 class SigmaMonomial:
@@ -133,12 +87,6 @@ class SigmaMonomial:
 
     def total_degree(self) -> int:
         return sum(e for _, e in self.exps)
-
-    def sigma_degree(self) -> SigmaDegree:
-        per_shift: dict[int, int] = {}
-        for v, e in self.exps:
-            per_shift[v.shift] = per_shift.get(v.shift, 0) + e
-        return SigmaDegree(per_shift)
 
     def shifted(self, ell: int) -> "SigmaMonomial":
         if ell == 0:
@@ -347,43 +295,3 @@ class DifferencePolynomial:
 
     def __repr__(self) -> str:
         return f"DifferencePolynomial({self})"
-
-
-def shift(f: DifferencePolynomial, ell: int) -> DifferencePolynomial:
-    """Module-level alias for the shift endomorphism."""
-    return f.shifted(ell)
-
-
-def sigma_degree(m: SigmaMonomial) -> SigmaDegree:
-    """Per-shift total degrees of a monomial as an element of N[s]."""
-    return m.sigma_degree()
-
-
-def homogenize(f: DifferencePolynomial) -> DifferencePolynomial:
-    """Sigma-homogenization using the reserved variable index 0.
-
-    Each term is padded with powers of s^i(y0) so that every term attains
-    the maximal block degree of f in every shift block; substituting
-    s^i(y0) := 1 recovers f.  Raises on the zero polynomial."""
-    if f.is_zero:
-        raise ValueError("cannot homogenize the zero polynomial")
-    block_deg: dict[int, int] = {}
-    for m in f.terms:
-        for i, c in m.sigma_degree().coeffs:
-            block_deg[i] = max(block_deg.get(i, 0), c)
-    out: dict[SigmaMonomial, Fraction] = {}
-    for m, c in f.terms.items():
-        deg = m.sigma_degree()
-        pad = {
-            SigmaVariable(i, 0): block_deg[i] - deg.degree_in(i)
-            for i in block_deg
-            if block_deg[i] - deg.degree_in(i) > 0
-        }
-        out[m * SigmaMonomial(pad)] = c
-    return DifferencePolynomial(out, f.num_vars)
-
-
-def is_sigma_homogeneous(f: DifferencePolynomial) -> bool:
-    """True if all terms of f share one sigma-degree."""
-    degrees = {m.sigma_degree() for m in f.terms}
-    return len(degrees) <= 1

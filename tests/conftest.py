@@ -4,7 +4,8 @@ The oracles deliberately avoid the library's own algorithms: hitting sets
 by subset enumeration, interval transversals by combinations over
 placements, free subsets by window enumeration, minimum cycle means by
 Karp's dynamic program (the algorithm the library used before policy
-iteration).
+iteration), Groebner bases by the plain Buchberger loop the library used
+before packed exponents and the pair heap.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from sigmadim import DifferencePolynomial, SigmaMonomial, parse_polynomial
+from sigmadim import LEX, DifferencePolynomial, SigmaMonomial, parse_polynomial
 
 
 def poly(text: str, n: int) -> DifferencePolynomial:
@@ -128,3 +129,93 @@ def karp_min_mean(g, source: int = 0) -> Fraction:
     if not have.any():
         raise ValueError("no cycle reachable from source")
     return min(Fraction(int(best_num[v]), int(best_den[v])) for v in range(n) if have[v])
+
+
+def oracle_reduce(f, G, order=LEX):
+    """Full normal form of f modulo G on SigmaMonomial-keyed polynomials:
+    the leading term is reduced by the first g whose leading monomial
+    divides it, or moved to the remainder."""
+    divisors = [(g, *order.leading(g)) for g in G if not g.is_zero]
+    remainder = {}
+    work = f
+    while not work.is_zero:
+        m, c = order.leading(work)
+        hit = next(((g, lm, lc) for g, lm, lc in divisors if lm.divides(m)), None)
+        if hit is None:
+            remainder[m] = remainder.get(m, Fraction(0)) + c
+            work = work - DifferencePolynomial({m: c}, f.num_vars)
+        else:
+            g, lm, lc = hit
+            factor = DifferencePolynomial({m / lm: c / lc}, f.num_vars)
+            work = work - factor * g
+    return DifferencePolynomial(remainder, f.num_vars)
+
+
+def _oracle_monic(f, order):
+    _, c = order.leading(f)
+    return f.scale(Fraction(1) / c)
+
+
+def _oracle_s_polynomial(f, g, order):
+    mf, cf = order.leading(f)
+    mg, cg = order.leading(g)
+    lcm = mf.lcm(mg)
+    uf = DifferencePolynomial({lcm / mf: Fraction(1) / cf}, f.num_vars)
+    ug = DifferencePolynomial({lcm / mg: Fraction(1) / cg}, g.num_vars)
+    return uf * f - ug * g
+
+
+def oracle_buchberger(F, order=LEX) -> list:
+    """Reduced monic Groebner basis of (F), sorted by leading monomial,
+    by the plain Buchberger loop: the pair with the least lcm is found by
+    rescanning every pending pair, with the product criterion and
+    Buchberger's chain criterion.  [1] for the unit ideal, [] for zero."""
+    polys = [f for f in F if not f.is_zero]
+    num_vars = F[0].num_vars if F else 0
+    G, lms = [], []
+    for f in sorted(polys, key=lambda f: order.key(order.leading(f)[0])):
+        r = oracle_reduce(f, G, order)
+        if not r.is_zero:
+            G.append(_oracle_monic(r, order))
+            lms.append(order.leading(G[-1])[0])
+
+    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    done = set()
+
+    def chain_skippable(i, j):
+        lcm = lms[i].lcm(lms[j])
+        for k in range(len(G)):
+            if k in (i, j) or not lms[k].divides(lcm):
+                continue
+            a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
+            if a in done and b in done:
+                return True
+        return False
+
+    while pairs:
+        i, j = min(pairs, key=lambda p: (order.key(lms[p[0]].lcm(lms[p[1]])), p))
+        pairs.discard((i, j))
+        done.add((i, j))
+        if lms[i].is_coprime(lms[j]) or chain_skippable(i, j):
+            continue
+        r = oracle_reduce(_oracle_s_polynomial(G[i], G[j], order), G, order)
+        if r.is_zero:
+            continue
+        G.append(_oracle_monic(r, order))
+        lms.append(order.leading(G[-1])[0])
+        k = len(G) - 1
+        pairs |= {(t, k) for t in range(k)}
+
+    minimal = [
+        G[i]
+        for i in range(len(G))
+        if not any(j != i and lms[j].divides(lms[i]) for j in range(len(G)))
+    ]
+    if any(g.is_constant() for g in minimal):
+        return [DifferencePolynomial.constant(1, num_vars)]
+    reduced = []
+    for i, g in enumerate(minimal):
+        others = [minimal[j] for j in range(len(minimal)) if j != i]
+        reduced.append(_oracle_monic(oracle_reduce(g, others, order), order))
+    reduced.sort(key=lambda g: order.key(order.leading(g)[0]))
+    return reduced

@@ -175,3 +175,29 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["cover", "0,1", "--frobnicate"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    def test_built_once(self, monkeypatch):
+        import sigmadim.cli
+
+        built = []
+        real = sigmadim.cli.build_parser
+        monkeypatch.setattr(sigmadim.cli, "build_parser", lambda: built.append(1) or real())
+        sigmadim.cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run(["cover", "0,1"])[0] == 0
+        finally:
+            sigmadim.cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_repeated_monomial_does_not_leak(self):
+        family = ["sdim", "--monomial", "y1*s(y1)", "--monomial", "y1*s^2(y1)", "--imax", "4"]
+        first = run_json(family)
+        single = run_json(["sdim", "--monomial", "y1*s(y1)", "--imax", "4"])
+        assert single["result"]["method"] == "covering"
+        assert single["result"]["certified"]["value"] == {"num": "1", "den": "2"}
+        code, out, err = run(["sdim", "--imax", "4"])
+        assert code == 2 and out == "" and "--monomial" in err
+        assert run_json(family) == first

@@ -211,7 +211,7 @@ class TestCertificateChecks:
 
         # d_i = i + 2 for an order-0 system: not (i + 1) * d_0
         monkeypatch.setattr(
-            sigmadim.engine, "ideal_dimension", lambda gens, variables: len(variables) // 2 + 1
+            sigmadim.engine, "basis_dimension", lambda basis: len(basis.variables) // 2 + 1
         )
         with pytest.raises(CertificateError):
             truncated_dim_sequence([poly("y1*y2", 2)], 3)
@@ -287,6 +287,25 @@ class TestTruncation:
 
 
 class TestMonomialize:
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_sigma_dim_solves_each_window_once(self, monkeypatch, k):
+        import sigmadim.engine
+        import sigmadim.groebner
+
+        real = sigmadim.groebner.buchberger
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (sigmadim.groebner, sigmadim.engine):
+            monkeypatch.setattr(module, "buchberger", counting)
+        report = sigma_dim(INTRO(), i_max=k)
+        assert len(calls) == k + 1
+        assert report.family == monomialize(INTRO(), k)
+        assert report.family_value == sigma_dim_family(report.family)
+
     def test_already_monomial(self):
         assert monomialize([poly("y1*s(y1)", 1)], 3) == SigmaFamily(1, [[(0, 1), (1, 1)]])
 

@@ -17,13 +17,14 @@ from sigmadim import (
     SigmaMonomial,
     buchberger,
     eliminate,
+    elimination_order,
     ideal_dimension,
     leading_monomial_ideal,
     monomial_krull_dim,
     reduce,
 )
 from sigmadim.engine import truncation_generators
-from conftest import mono, poly
+from conftest import mono, oracle_buchberger, oracle_reduce, poly
 
 
 class TestOrder:
@@ -245,3 +246,93 @@ def test_matches_sympy_on_intro_truncation():
     expected = _monic_strings(list(sympy.groebner(exprs, *gens, order="lex").exprs), gens)
     ours_exprs, _ = _to_sympy(list(buchberger(gens_list)))
     assert _monic_strings(ours_exprs, gens) == expected
+
+
+# -- cross-check against the plain Buchberger loop ----------------------------
+
+
+def _degree_two_system(rng):
+    """One to three polynomials in n <= 2 variables, order <= 2, total
+    degree <= 2, with one to four terms and coefficients in -3..3."""
+    n = rng.choice([1, 2])
+    cells = [(a, j) for a in range(3) for j in range(1, n + 1)]
+    polys = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            m = {}
+            for _ in range(rng.randint(0, 2)):
+                var = rng.choice(cells)
+                m[var] = m.get(var, 0) + 1
+            monomial = SigmaMonomial(m)
+            terms[monomial] = terms.get(monomial, Fraction(0)) + Fraction(rng.randint(-3, 3))
+        polys.append(DifferencePolynomial(terms, n))
+    return polys
+
+
+def test_matches_oracle_on_random_systems_lex():
+    rng = random.Random(11)
+    for _ in range(120):
+        F = _degree_two_system(rng)
+        assert list(buchberger(F).generators) == oracle_buchberger(F), F
+
+
+def test_matches_oracle_on_random_systems_elimination_order():
+    rng = random.Random(12)
+    checked = 0
+    while checked < 80:
+        F = _degree_two_system(rng)
+        variables = sorted(frozenset().union(*(f.support_vars() for f in F)))
+        if len(variables) < 2:
+            continue
+        order = elimination_order(rng.sample(variables, rng.randint(1, len(variables) - 1)))
+        assert list(buchberger(F, variables, order).generators) == oracle_buchberger(F, order), F
+        checked += 1
+
+
+def test_reduce_matches_oracle_on_non_bases():
+    # G is not a Groebner basis, so the remainder depends on which divisor
+    # reduces each term: both pick the first one in G order
+    rng = random.Random(13)
+    for _ in range(60):
+        F = [f for f in _degree_two_system(rng) if not f.is_zero]
+        if len(F) < 2:
+            continue
+        f = F[0] * F[-1] + F[0]
+        for order in (LEX, elimination_order([(0, 1)])):
+            assert reduce(f, F[1:], order) == oracle_reduce(f, F[1:], order)
+            assert reduce(f, F[::-1], order) == oracle_reduce(f, F[::-1], order)
+
+
+# the truncation systems of the benchmark, one coefficient draw each, with
+# the window depth it uses
+TRUNCATION_SYSTEMS = [
+    (["2*s(y1)*y2 - y1 - 3", "s(y2) - 2*y1*y2"], 4),
+    (["y1*s(y1)", "y1*y2 - 2*y2*s(y2)"], 6),
+    (["s(y1)*y1 + 2*s(y1) - 3*y1 + 1"], 5),
+    (["s^2(y1)*y1 - 2*s(y1)^2 - 3"], 5),
+    (["s(y1) - 2*y1*y2", "s(y2)^2 - 3*y1 - 1"], 5),
+    (["y1^2 - 2*y2", "y1*y2 - 3"], 5),
+    (["s^2(y1) - 2*s(y1) - 3*y1"], 8),
+]
+
+
+@pytest.mark.parametrize("texts,depth", TRUNCATION_SYSTEMS)
+def test_matches_oracle_on_every_truncation_window(texts, depth):
+    n = 2 if any("y2" in t for t in texts) else 1
+    F = [poly(t, n) for t in texts]
+    for i in range(depth + 1):
+        gens = truncation_generators(F, i)
+        variables = [(a, j) for a in range(i + 1) for j in range(1, n + 1)]
+        assert list(buchberger(gens, variables).generators) == oracle_buchberger(gens), i
+
+
+def test_matches_oracle_where_gebauer_moeller_strictness_matters():
+    # dropping every old pair whose lcm the new leading monomial divides,
+    # without requiring both new lcms to differ from it, loses a generator
+    F = [
+        poly("-2*s^2(y1)*s^2(y2) + 2*s(y1)*s^2(y2) - 3*s^2(y1)", 2),
+        poly("2*s^2(y1)*s^2(y2) - s(y2)^2 + 2*y1*s(y2) + 2", 2),
+        poly("3*y2*s^2(y2) + 2*y1*s(y2) + 3*s(y1)", 2),
+    ]
+    assert list(buchberger(F).generators) == oracle_buchberger(F)

@@ -1,22 +1,11 @@
-"""Ring arithmetic, shift action, sigma-degrees, homogenization."""
-
-from fractions import Fraction
+"""Ring arithmetic and the shift action."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmadim import (
-    DifferencePolynomial,
-    SigmaDegree,
-    SigmaMonomial,
-    SigmaVariable,
-    homogenize,
-    is_sigma_homogeneous,
-    shift,
-    sigma_degree,
-)
-from conftest import mono, poly
+from sigmadim import DifferencePolynomial, SigmaMonomial
+from conftest import poly
 
 
 class TestArithmetic:
@@ -44,66 +33,18 @@ class TestArithmetic:
 
 class TestShift:
     def test_basic(self):
-        assert shift(poly("y1*s(y1)", 1), 1) == poly("s(y1)*s^2(y1)", 1)
+        assert poly("y1*s(y1)", 1).shifted(1) == poly("s(y1)*s^2(y1)", 1)
 
     def test_identity(self):
         f = poly("y1*y2 - 3", 2)
-        assert shift(f, 0) == f
+        assert f.shifted(0) == f
 
     def test_constants_fixed(self):
-        assert shift(poly("y1*y2 - 1", 2), 2) == poly("s^2(y1)*s^2(y2) - 1", 2)
+        assert poly("y1*y2 - 1", 2).shifted(2) == poly("s^2(y1)*s^2(y2) - 1", 2)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            shift(poly("y1", 1), -1)
-
-
-class TestSigmaDegree:
-    def test_mixed(self):
-        assert sigma_degree(mono("y1^2*s(y2)", 2)) == SigmaDegree({0: 2, 1: 1})
-
-    def test_constant(self):
-        assert sigma_degree(SigmaMonomial()) == SigmaDegree()
-
-    def test_spread(self):
-        assert sigma_degree(mono("y1*y2*s^3(y1)^3", 2)) == SigmaDegree({0: 2, 3: 3})
-
-
-class TestHomogenize:
-    def test_product_minus_one(self):
-        assert homogenize(poly("y1*s(y1) - 1", 1)) == DifferencePolynomial(
-            {
-                mono("y1*s(y1)", 1): Fraction(1),
-                SigmaMonomial({SigmaVariable(0, 0): 1, SigmaVariable(1, 0): 1}): Fraction(-1),
-            },
-            1,
-        )
-
-    def test_already_homogeneous(self):
-        f = poly("y1", 1)
-        assert homogenize(f) == f
-
-    def test_degree_two_block(self):
-        assert homogenize(poly("y1*y2 - 1", 2)) == DifferencePolynomial(
-            {
-                mono("y1*y2", 2): Fraction(1),
-                SigmaMonomial({SigmaVariable(0, 0): 2}): Fraction(-1),
-            },
-            2,
-        )
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            homogenize(DifferencePolynomial.zero(1))
-
-    def test_substituting_one_recovers(self):
-        f = poly("y1^2*s(y1) - 2*y1 + 5", 1)
-        h = homogenize(f)
-        recovered = {}
-        for m, c in h.terms.items():
-            stripped = SigmaMonomial((v, e) for v, e in m.exps if v.index != 0)
-            recovered[stripped] = recovered.get(stripped, Fraction(0)) + c
-        assert DifferencePolynomial(recovered, 1) == f
+            poly("y1", 1).shifted(-1)
 
 
 # -- property tests ---------------------------------------------------------
@@ -121,27 +62,16 @@ def polynomials(draw, allow_zero=True):
 
 @given(polynomials(), st.integers(0, 3), st.integers(0, 3))
 def test_shift_composes(f, a, b):
-    assert shift(shift(f, a), b) == shift(f, a + b)
+    assert f.shifted(a).shifted(b) == f.shifted(a + b)
 
 
 @given(polynomials(), polynomials(), st.integers(0, 3))
 def test_shift_is_ring_morphism(f, g, ell):
-    assert shift(f * g, ell) == shift(f, ell) * shift(g, ell)
-    assert shift(f + g, ell) == shift(f, ell) + shift(g, ell)
+    assert (f * g).shifted(ell) == f.shifted(ell) * g.shifted(ell)
+    assert (f + g).shifted(ell) == f.shifted(ell) + g.shifted(ell)
 
 
 @given(polynomials(), st.integers(1, 3))
 def test_shift_raises_order(f, ell):
     if f.order() is not None:
-        assert shift(f, ell).order() == f.order() + ell
-
-
-@given(monomials, monomials)
-def test_sigma_degree_additive(m1, m2):
-    assert sigma_degree(m1 * m2) == sigma_degree(m1) + sigma_degree(m2)
-
-
-@settings(max_examples=60)
-@given(polynomials(allow_zero=False))
-def test_homogenize_output_homogeneous(f):
-    assert is_sigma_homogeneous(homogenize(f))
+        assert f.shifted(ell).order() == f.order() + ell
