@@ -229,7 +229,7 @@ def _cmd_solve(args) -> int:
         result["points"] = [list(pt) for pt in sols.points]
         lines += ["(" + ",".join(map(str, pt)) + ")" for pt in sols.points]
     if args.set:
-        cells = parse_cells(args.set)
+        cells = list(dict.fromkeys(parse_cells(args.set)))
         count = projection_count(sols, cells)
         frac = Fraction(count, sols.p ** len(cells))
         result["projection"] = {

@@ -1,10 +1,12 @@
-"""Brute-force sequence-solution oracle over small prime fields.
+"""Exact sequence-solution oracle over small prime fields.
 
-Enumerates all assignments of the window {0..i} x {1..n} to F_p and keeps
-those satisfying every applicable shifted equation exactly.  This is a
-heuristic companion to the exact combinatorics: projection counts of 1 on
-a coordinate set are necessary evidence of freeness, not proof, because
-the free-set theory lives over large algebraically closed fields.
+Lists every assignment of the window {0..i} x {1..n} to F_p that satisfies
+each applicable shifted equation exactly, growing the assignments one cell
+at a time and discarding a partial one as soon as an equation whose cells
+are all assigned fails on it.  This is a heuristic companion to the exact
+combinatorics: projection counts of 1 on a coordinate set are necessary
+evidence of freeness, not proof, because the free-set theory lives over
+large algebraically closed fields.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from .polynomials import DifferencePolynomial
 
 DEFAULT_BUDGET = 10**7
+_DECODE_BLOCK = 1 << 16
 
 
 class BudgetExceededError(ValueError):
@@ -62,7 +65,11 @@ def enumerate_truncated_solutions(
     budget: int = DEFAULT_BUDGET,
 ) -> TruncatedSolutionSet:
     """All window assignments satisfying s^l(f) for every f in F and every
-    l with l + ord(f) <= i, by exhaustive enumeration over F_p.
+    l with l + ord(f) <= i, by enumeration over F_p.
+
+    The budget counts all p^(n(i+1)) grid points, but the search grows the
+    assignments cell by cell and drops a partial assignment as soon as an
+    equation whose cells are all assigned fails on it.
 
     Coefficients must be integers (they are reduced mod p)."""
     if not _is_prime(p):
@@ -73,50 +80,66 @@ def enumerate_truncated_solutions(
         raise ValueError("empty system")
     n = F[0].num_vars
     cells = tuple((a, j) for a in range(i + 1) for j in range(1, n + 1))
-    total = p ** len(cells)
+    ncells = len(cells)
+    total = p**ncells
     if total > budget:
         raise BudgetExceededError(
             f"p^(n(i+1)) = {total} exceeds the enumeration budget {budget}"
         )
+    if total >= 2**63 or p >= 2**31:
+        raise ValueError(
+            f"F_{p} on {ncells} cells is outside the int64 range of the enumeration"
+        )
 
-    shifted = []
+    # Each shifted generator as (coefficient mod p, ((cell position,
+    # exponent), ...)) terms, filed under the last cell it mentions (-1: no
+    # variables).
+    cell_pos = {c: k for k, c in enumerate(cells)}
+    filed: list[list[list]] = [[] for _ in range(ncells + 1)]
     for f in F:
         if f.is_zero:
             continue
         o = f.order() or 0
-        for ell in range(i - o + 1):
-            shifted.append(f.shifted(ell))
-
-    cell_pos = {c: k for k, c in enumerate(cells)}
-    idx = np.arange(total, dtype=np.int64)
-    ncells = len(cells)
-    cell_vals: dict[Cell, np.ndarray] = {}
-
-    def values(cell: Cell) -> np.ndarray:
-        if cell not in cell_vals:
-            k = cell_pos[cell]
-            cell_vals[cell] = (idx // p ** (ncells - 1 - k)) % p
-        return cell_vals[cell]
-
-    ok = np.ones(total, dtype=bool)
-    for g in shifted:
-        acc = np.zeros(total, dtype=np.int64)
-        for m, c in g.terms.items():
+        if o > i:
+            continue
+        for c in f.terms.values():
             if c.denominator != 1:
-                raise ValueError(f"non-integer coefficient {c} in {g}")
-            term = np.full(total, int(c) % p, dtype=np.int64)
-            for v, e in m.exps:
-                term = (term * pow_mod(values((v.shift, v.index)), e, p)) % p
-            acc = (acc + term) % p
-        ok &= acc == 0
+                raise ValueError(f"non-integer coefficient {c} in {f}")
+        for ell in range(i - o + 1):
+            terms = [
+                (int(c) % p, tuple((cell_pos[(v.shift + ell, v.index)], e) for v, e in m.exps))
+                for m, c in f.terms.items()
+            ]
+            terms = [(c, t) for c, t in terms if c]
+            if terms:
+                last = max((pos for _, t in terms for pos, _ in t), default=-1)
+                filed[last + 1].append(terms)
 
-    sols = np.nonzero(ok)[0]
-    points = []
-    for s in sols.tolist():
-        point = []
-        for k in range(ncells):
-            point.append((s // p ** (ncells - 1 - k)) % p)
-        points.append(tuple(point))
+    # Odometer codes of the live partial assignments of cells 0..k (cell 0
+    # most significant), ascending.
+    codes = np.zeros(1, dtype=np.int64)
+    for k in range(-1, ncells):
+        if not len(codes):
+            break
+        if k >= 0:
+            codes = (codes[:, None] * p + np.arange(p, dtype=np.int64)).ravel()
+        for terms in filed[k + 1]:
+            acc = np.zeros(len(codes), dtype=np.int64)
+            for c, t in terms:
+                term = c
+                for pos, e in t:
+                    digit = codes // p ** (k - pos) % p
+                    term = term * (digit if e == 1 else pow_mod(digit, e, p)) % p
+                acc = (acc + term) % p
+            codes = codes[acc == 0]
+
+    if not ncells:  # n = 0: the one empty point, if no constant fails
+        return TruncatedSolutionSet(p=p, i=i, n=n, cells=cells, points=((),) * len(codes))
+    powers = p ** np.arange(ncells - 1, -1, -1, dtype=np.int64)
+    points: list[tuple[int, ...]] = []
+    for start in range(0, len(codes), _DECODE_BLOCK):
+        digits = codes[start : start + _DECODE_BLOCK, None] // powers % p
+        points.extend(zip(*digits.T.tolist()))
     return TruncatedSolutionSet(p=p, i=i, n=n, cells=cells, points=tuple(points))
 
 
@@ -132,8 +155,9 @@ def pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
 
 
 def projection_count(sols: TruncatedSolutionSet, T: Iterable[Cell]) -> int:
-    """Cardinality of the image of the solution set under projection to T."""
-    cells = sorted((int(a), int(j)) for a, j in T)
+    """Cardinality of the image of the solution set under projection to the
+    set of cells T (a cell listed twice counts once)."""
+    cells = sorted({(int(a), int(j)) for a, j in T})
     pos = []
     for c in cells:
         if c not in sols.cells:
@@ -151,6 +175,6 @@ def empirical_free_check(
 ) -> Fraction:
     """projection_count / p^|T|: equal to 1 is necessary evidence that T
     is free; below 1 over several primes is evidence against."""
-    cells = sorted((int(a), int(j)) for a, j in T)
+    cells = sorted({(int(a), int(j)) for a, j in T})
     sols = enumerate_truncated_solutions(F, p, i, budget=budget)
     return Fraction(projection_count(sols, cells), p ** len(cells))

@@ -5,7 +5,9 @@ by subset enumeration, interval transversals by combinations over
 placements, free subsets by window enumeration, minimum cycle means by
 Karp's dynamic program (the algorithm the library used before policy
 iteration), Groebner bases by the plain Buchberger loop the library used
-before packed exponents and the pair heap.
+before packed exponents and the pair heap, F_p solution sets by evaluating
+every equation on the whole window grid (the enumeration the library used
+before the cell-by-cell search).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from sigmadim import LEX, DifferencePolynomial, SigmaMonomial, parse_polynomial
+from sigmadim.lab import pow_mod
 
 
 def poly(text: str, n: int) -> DifferencePolynomial:
@@ -26,6 +29,25 @@ def mono(text: str, n: int) -> SigmaMonomial:
     p = parse_polynomial(text, n)
     (m,) = p.monomials()
     return m
+
+
+def random_system(rng, n: int, max_order: int, max_degree: int) -> list:
+    """One or two random polynomials in y1..yn with nonzero integer
+    coefficients in [-3, 3] (before like terms merge), shifts up to
+    max_order and terms of total degree up to max_degree."""
+    system = []
+    for _ in range(rng.randint(1, 2)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            degree = rng.randint(0, max_degree)
+            cells = [(rng.randint(0, max_order), rng.randint(1, n)) for _ in range(degree)]
+            exps = {}
+            for cell in cells:
+                exps[cell] = exps.get(cell, 0) + 1
+            m = SigmaMonomial(exps)
+            terms[m] = terms.get(m, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+        system.append(DifferencePolynomial(terms, n))
+    return system
 
 
 def brute_min_hitting_set_size(sets) -> int | None:
@@ -219,3 +241,33 @@ def oracle_buchberger(F, order=LEX) -> list:
         reduced.append(_oracle_monic(oracle_reduce(g, others, order), order))
     reduced.sort(key=lambda g: order.key(order.leading(g)[0]))
     return reduced
+
+
+def oracle_enumerate(F, p: int, i: int) -> tuple:
+    """Points of the window {0..i} x {1..n} over F_p (cells sorted by
+    (shift, index), odometer order, last cell fastest) on which s^l(f)
+    vanishes for every f in F and every l with l + ord(f) <= i: every
+    shifted generator is evaluated on all p^(n(i+1)) grid points."""
+    n = F[0].num_vars
+    cells = [(a, j) for a in range(i + 1) for j in range(1, n + 1)]
+    ncells = len(cells)
+    total = p**ncells
+    idx = np.arange(total, dtype=np.int64)
+    values = {c: (idx // p ** (ncells - 1 - k)) % p for k, c in enumerate(cells)}
+    ok = np.ones(total, dtype=bool)
+    for f in F:
+        if f.is_zero:
+            continue
+        o = f.order() or 0
+        for ell in range(i - o + 1):
+            acc = np.zeros(total, dtype=np.int64)
+            for m, c in f.shifted(ell).terms.items():
+                term = np.full(total, int(c) % p, dtype=np.int64)
+                for v, e in m.exps:
+                    term = (term * pow_mod(values[(v.shift, v.index)], e, p)) % p
+                acc = (acc + term) % p
+            ok &= acc == 0
+    return tuple(
+        tuple((s // p ** (ncells - 1 - k)) % p for k in range(ncells))
+        for s in np.nonzero(ok)[0].tolist()
+    )

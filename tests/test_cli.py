@@ -127,6 +127,19 @@ class TestVerbs:
         assert data["result"]["projection"]["count"] == 5
         assert data["result"]["projection"]["fraction"] == {"num": "5", "den": "9"}
 
+    def test_solve_projection_duplicate_cells(self):
+        data = run_json(
+            ["solve", "y1*s(y1)", "--prime", "3", "--order", "1", "--set", "{(0,1),(0,1)}"]
+        )
+        assert data["result"]["projection"]["set"] == [[0, 1]]
+        assert data["result"]["projection"]["count"] == 3
+        assert data["result"]["projection"]["fraction"] == {"num": "1", "den": "1"}
+        code, out, _ = run(
+            ["solve", "y1*s(y1)", "--prime", "3", "--order", "1", "--set", "{(0,1),(0,1)}"]
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "projection to {(0,1),(0,1)}: 3 points, fraction 1"
+
     def test_sdim_family_file(self, tmp_path):
         fam = tmp_path / "family.json"
         fam.write_text(json.dumps({"n": 1, "members": [[[0, 1], [1, 1]]]}))

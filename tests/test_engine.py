@@ -39,7 +39,7 @@ from sigmadim import (
 )
 from sigmadim.covering import IntSet, tau_interval, reflect
 from sigmadim.engine import DimEntry, DimensionReport, _family_report, _pick_graph
-from conftest import mono, poly
+from conftest import mono, poly, random_system
 
 INTRO = lambda: [poly("y1*s(y1)", 2), poly("y1*y2 - y2*s(y2)", 2)]
 
@@ -276,6 +276,27 @@ class TestTruncation:
         rep = truncated_dim_sequence([poly("y1", 1), poly("y1 - 1", 1)], 2)
         assert all(e.d is EMPTY for e in rep.entries)
         assert rep.certified_value is None
+
+    def test_fekete_subadditive(self):
+        # V_{a+b-1} projects into V_{a-1} x s^a(V_{b-1}), so d_{a+b-1} <=
+        # d_{a-1} + d_{b-1}, and an empty window stays empty in every
+        # larger one.
+        rng = random.Random(8)
+        for _ in range(150):
+            n = rng.randint(1, 2)
+            F = random_system(rng, n, max_order=1, max_degree=2)
+            if all(f.is_zero for f in F):
+                continue
+            i_max = rng.randint(max(f.order() or 0 for f in F), 4)
+            d = truncated_dim_sequence(F, i_max).d_sequence()
+            for i, di in enumerate(d):
+                assert di is EMPTY or 0 <= di <= n * (i + 1)
+            for a in range(1, i_max + 1):
+                for b in range(1, i_max + 2 - a):
+                    if d[a - 1] is EMPTY or d[b - 1] is EMPTY:
+                        assert d[a + b - 1] is EMPTY
+                    elif d[a + b - 1] is not EMPTY:
+                        assert d[a + b - 1] <= d[a - 1] + d[b - 1]
 
     def test_imax_below_order_rejected(self):
         with pytest.raises(ValueError):

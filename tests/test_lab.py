@@ -22,7 +22,8 @@ from sigmadim import (
     is_free,
     projection_count,
 )
-from conftest import poly
+from sigmadim.cli import main
+from conftest import oracle_enumerate, poly, random_system
 
 
 class TestEnumerate:
@@ -62,6 +63,64 @@ class TestEnumerate:
         sols = enumerate_truncated_solutions([poly("y1*s(y1)", 1)], 2, 1)
         assert sols.points == ((0, 0), (0, 1), (1, 0))
 
+    def test_int64_range_guard(self):
+        # A nonzero constant rejects every point before the first cell, so
+        # none of these would allocate a large frontier even unguarded.
+        one = [poly("1", 1)]
+        with pytest.raises(ValueError, match="int64"):
+            enumerate_truncated_solutions(one, 2, 62, budget=10**20)  # 2^63 points
+        with pytest.raises(ValueError, match="int64"):
+            enumerate_truncated_solutions(one, 2147483659, 0, budget=10**20)  # p > 2^31
+        assert len(enumerate_truncated_solutions(one, 2, 61, budget=10**20)) == 0
+        assert len(enumerate_truncated_solutions(one, 2**31 - 1, 0, budget=10**20)) == 0
+
+    def test_int64_range_guard_cli(self, monkeypatch, capsys):
+        # 3^40 > 2^63: the odometer codes would wrap without the guard
+        monkeypatch.setenv("SDIM_BUDGET", str(10**20))
+        code = main(["solve", "s(y1) - y1", "--prime", "3", "--order", "39"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "int64" in captured.err
+
+
+class TestAgainstWholeGrid:
+    """The cell-by-cell search lists exactly the points, in the same order,
+    that evaluating every equation on the whole grid keeps."""
+
+    def check(self, F, p, i):
+        assert enumerate_truncated_solutions(F, p, i).points == oracle_enumerate(F, p, i)
+
+    def test_random_systems(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(1, 2)
+            F = random_system(rng, n, max_order=rng.randint(0, 2), max_degree=2)
+            p = rng.choice((2, 3, 5))
+            i = rng.choice([i for i in range(4) if p ** (n * (i + 1)) <= 5**6])
+            self.check(F, p, i)
+
+    def test_zero_polynomial(self):
+        self.check([DifferencePolynomial.zero(2)], 3, 1)
+
+    def test_nonzero_constant(self):
+        self.check([poly("2", 2)], 3, 1)
+        assert enumerate_truncated_solutions([poly("3", 2)], 3, 1).points == tuple(
+            product(range(3), repeat=4)
+        )
+
+    def test_no_variables(self):
+        for c in (2, 3):
+            self.check([DifferencePolynomial.constant(c, 0)], 3, 1)
+
+    def test_order_above_window(self):
+        self.check([poly("s^3(y1) - y2", 2)], 3, 2)
+        self.check([poly("s^3(y1) - y2", 2), poly("y1*y2 - 1", 2)], 3, 2)
+
+    def test_rejection_only_at_last_cell(self):
+        self.check([poly("s^3(y2)*s^3(y1) - 1", 2)], 3, 3)
+        self.check([poly("y1*s^3(y2) - s^3(y2)*s^3(y1)", 2)], 3, 3)
+
 
 class TestProjection:
     @pytest.fixture()
@@ -77,6 +136,9 @@ class TestProjection:
     def test_forced_zero(self):
         sols = enumerate_truncated_solutions([poly("y1", 1)], 3, 1)
         assert projection_count(sols, [(0, 1)]) == 1
+
+    def test_duplicate_cells_count_once(self, product_sols):
+        assert projection_count(product_sols, [(0, 1), (0, 1)]) == 3
 
     def test_cell_outside_window(self, product_sols):
         with pytest.raises(ValueError):
@@ -100,6 +162,9 @@ class TestProjection:
 class TestEmpiricalFreeCheck:
     def test_single_coordinate(self):
         assert empirical_free_check([poly("y1*s(y1)", 1)], 3, 1, [(0, 1)]) == 1
+
+    def test_duplicate_cells(self):
+        assert empirical_free_check([poly("y1*s(y1)", 1)], 3, 1, [(0, 1), (0, 1)]) == 1
 
     def test_pair(self):
         got = empirical_free_check([poly("y1*s(y1)", 1)], 3, 1, [(0, 1), (1, 1)])
