@@ -199,6 +199,14 @@ def _window_vars(i: int, n: int) -> frozenset[SigmaVariable]:
     return frozenset(SigmaVariable(a, j) for a in range(i + 1) for j in range(1, n + 1))
 
 
+def _check_window_depth(F: Sequence[DifferencePolynomial], i_max: int) -> None:
+    """Raise ValueError when a generator of F does not fit in the order-i_max
+    window (its truncation would drop it)."""
+    max_order = max((o for o in (f.order() for f in F) if o is not None), default=0)
+    if i_max < max_order:
+        raise ValueError(f"i_max={i_max} below the maximal generator order {max_order}")
+
+
 def truncation_generators(
     F: Sequence[DifferencePolynomial], i: int
 ) -> list[DifferencePolynomial]:
@@ -230,10 +238,8 @@ def truncated_dim_sequence(
     F = [f for f in F if not f.is_zero]
     if not F:
         raise ValueError("empty system; use a family or pass the zero ideal explicitly")
+    _check_window_depth(F, i_max)
     orders = [f.order() for f in F]
-    max_order = max((o for o in orders if o is not None), default=0)
-    if i_max < max_order:
-        raise ValueError(f"i_max={i_max} below the maximal generator order {max_order}")
     n = F[0].num_vars
     all_order0 = all(o == 0 for o in orders)
     all_monomial = all(f.is_monomial() for f in F)
@@ -285,10 +291,12 @@ def monomialize(F: Sequence[DifferencePolynomial], i_max: int) -> SigmaFamily:
     """Family of shift-normalized squarefree supports of the leading
     monomials of the Groebner basis of the deepest truncation.
 
-    The result depends on i_max; nothing is claimed about stabilization."""
+    The result depends on i_max; nothing is claimed about stabilization.
+    Raises ValueError when i_max is below the maximal generator order."""
     F = [f for f in F if not f.is_zero]
     if not F:
         raise ValueError("empty system")
+    _check_window_depth(F, i_max)
     n = F[0].num_vars
     basis = buchberger(truncation_generators(F, i_max), _window_vars(i_max, n), LEX)
     return _leading_family(basis, n)
@@ -301,7 +309,10 @@ def not_free_certificate(
 ) -> Optional[DifferencePolynomial]:
     """A nonzero element of (F, s(F), ..., s^depth(F)) supported on the
     cells of T, if one exists at this depth; None is inconclusive (T may
-    still fail to be free at greater depth)."""
+    still fail to be free at greater depth).  Raises ValueError for a
+    negative depth."""
+    if depth < 0:
+        raise ValueError(f"depth={depth} must be non-negative")
     F = [f for f in F if not f.is_zero]
     if not F:
         return None
@@ -362,6 +373,16 @@ def _family_report(family: SigmaFamily, i_max: int, check: bool) -> DimensionRep
     return report
 
 
+def _combinatorial_depth(i_max: Optional[int]) -> int:
+    """Window depth of the exact paths: the default for None, and
+    ValueError for a negative depth."""
+    if i_max is None:
+        return DEFAULT_COMBINATORIAL_IMAX
+    if i_max < 0:
+        raise ValueError(f"i_max={i_max} must be non-negative")
+    return i_max
+
+
 def sigma_dim(
     system: SystemInput,
     *,
@@ -378,9 +399,11 @@ def sigma_dim(
       family path is cross-checked when check=True.
     * anything else: truncated dimension sequence (upper bound), plus the
       monomialized family alongside when with_family is set.
+
+    A negative i_max raises ValueError on every path.
     """
     if isinstance(system, SigmaFamily):
-        return _family_report(system, DEFAULT_COMBINATORIAL_IMAX if i_max is None else i_max, check)
+        return _family_report(system, _combinatorial_depth(i_max), check)
 
     items = list(system)
     if not items:
@@ -394,9 +417,7 @@ def sigma_dim(
         n = items[0].num_vars
         nonzero = [f for f in items if not f.is_zero]
         if not nonzero:  # the zero ideal: full affine space
-            return _family_report(
-                SigmaFamily(n, []), DEFAULT_COMBINATORIAL_IMAX if i_max is None else i_max, check
-            )
+            return _family_report(SigmaFamily(n, []), _combinatorial_depth(i_max), check)
         if any(f.is_constant() for f in nonzero):
             raise UnitIdealError("a nonzero constant generates the unit ideal")
         if not all(f.is_monomial() for f in nonzero):
@@ -418,10 +439,10 @@ def sigma_dim(
         # univariate monomial: covering path, window dims from the
         # interval-transversal identity d_i = i + 1 - tau(-E, i - max(E) + 1)
         m = monomials[0]
+        depth = _combinatorial_depth(i_max)
         value = sigma_dim_univariate_monomial(m, check=check)
         shifts = IntSet(v.shift for v in m.support())
         top = max(v.shift for v in m.support())  # pre-normalization max(E)
-        depth = DEFAULT_COMBINATORIAL_IMAX if i_max is None else i_max
         neg = reflect(shifts)
         entries = []
         for i in range(depth + 1):
@@ -443,4 +464,4 @@ def sigma_dim(
         return report
 
     family = family_from_monomials(monomials, n)
-    return _family_report(family, DEFAULT_COMBINATORIAL_IMAX if i_max is None else i_max, check)
+    return _family_report(family, _combinatorial_depth(i_max), check)

@@ -12,10 +12,11 @@ ideals of shift-stable ideals shift-stable again.  Elimination uses the
 variant ranking the eliminated variables above all kept ones.
 
 `buchberger` ranks the ring's variables once and works on packed exponent
-tuples, keeps its S-pairs in a heap ordered by lcm, and prunes them with
-the Gebauer-Moeller criteria (Gebauer & Moeller 1988, *On an installation
-of Buchberger's algorithm*); only the final reduced basis is turned back
-into DifferencePolynomials.
+tuples with integer coefficients, keeps its S-pairs in a heap ordered by
+lcm, and prunes them with the Gebauer-Moeller criteria (Gebauer & Moeller
+1988, *On an installation of Buchberger's algorithm*); only the final
+reduced basis is made monic, and it becomes DifferencePolynomials on the
+first read of its generators.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm as int_lcm
 from operator import add, ge, neg, sub
 from typing import Callable, Iterable, Sequence
 
@@ -74,44 +76,64 @@ def elimination_order(eliminate_vars: Iterable[SigmaVariable]) -> MonomialOrder:
 
 class GroebnerBasis:
     """Reduced Groebner basis: monic generators, no leading monomial
-    divides another, every tail reduced."""
+    divides another, every tail reduced.
 
-    __slots__ = ("generators", "variables", "order")
+    Held as `buchberger` leaves it: one (lm, den, int tail) triple per
+    generator lm + tail/den, exponents listed over `ring`, the ring's
+    variables from the highest-ranked down.  The DifferencePolynomials are
+    built on the first read of `generators`; `basis_dimension` and
+    `leading_monomial_ideal` read the packed leading monomials."""
+
+    __slots__ = ("packed", "ring", "num_vars", "variables", "order", "_generators")
 
     def __init__(
         self,
-        generators: Sequence[DifferencePolynomial],
-        variables: frozenset[SigmaVariable],
+        packed: list[tuple[tuple, int, dict]],
+        ring: list[SigmaVariable],
+        num_vars: int,
         order: MonomialOrder,
     ):
-        self.generators = tuple(generators)
-        self.variables = variables
+        self.packed = packed
+        self.ring = ring
+        self.num_vars = num_vars
+        self.variables = frozenset(ring)
         self.order = order
+        self._generators = None
+
+    @property
+    def generators(self) -> tuple[DifferencePolynomial, ...]:
+        if self._generators is None:
+            self._generators = tuple(
+                _unpack({lm: 1} | {m: Fraction(c, den) for m, c in tail.items()}, self.ring, self.num_vars)
+                for lm, den, tail in self.packed
+            )
+        return self._generators
 
     @property
     def is_unit_ideal(self) -> bool:
-        return len(self.generators) == 1 and self.generators[0].is_constant() and not self.generators[0].is_zero
+        return len(self.packed) == 1 and not any(self.packed[0][0])
 
     def __iter__(self):
         return iter(self.generators)
 
     def __len__(self) -> int:
-        return len(self.generators)
+        return len(self.packed)
 
     def __repr__(self) -> str:
         return f"GroebnerBasis({[str(g) for g in self.generators]})"
 
 
-# -- packed exponents ---------------------------------------------------------
+# -- packed exponents, integer coefficients -----------------------------------
 #
 # Inside `reduce` and `buchberger` a monomial is a tuple of exponents over
 # the ring's variables listed from the highest-ranked down, so comparing
 # two tuples is the lex comparison of the order, `max` of a term dict is
 # the leading monomial, and divisibility, lcm and quotients are `map` over
-# the tuples.  A polynomial is a dict from packed monomials to exact
-# rationals, held as ints while they are integral (int arithmetic is much
-# cheaper than Fraction arithmetic); a basis element is kept monic as
-# (leading monomial, tail dict).
+# the tuples.  A polynomial is a dict from packed monomials to ints: the
+# denominators of the input are cleared once, on entry, and reduction
+# never divides (it scales the polynomial under reduction instead), so no
+# rational appears until the final basis is made monic.  A basis element
+# is kept primitive as (leading monomial, leading coefficient > 0, tail).
 
 
 def _ring(variables: Iterable[SigmaVariable], order: MonomialOrder) -> list[SigmaVariable]:
@@ -119,20 +141,17 @@ def _ring(variables: Iterable[SigmaVariable], order: MonomialOrder) -> list[Sigm
     return sorted(variables, key=order._rank, reverse=True)
 
 
-def _exact(c: Fraction) -> int | Fraction:
-    """c, as an int when it is integral."""
-    return c.numerator if c.denominator == 1 else c
-
-
-def _pack(f: DifferencePolynomial, index: dict[SigmaVariable, int]) -> dict:
+def _pack(f: DifferencePolynomial, index: dict[SigmaVariable, int]) -> tuple[dict, int]:
+    """(den * f as an int polynomial, den), den the lcm of f's denominators."""
     width = len(index)
+    den = int_lcm(*(c.denominator for c in f.terms.values()))
     out = {}
     for m, c in f.terms.items():
         e = [0] * width
         for v, x in m.exps:
             e[index[v]] = x
-        out[tuple(e)] = _exact(c)
-    return out
+        out[tuple(e)] = c.numerator * (den // c.denominator)
+    return out, den
 
 
 def _unpack(p: dict, ring: list[SigmaVariable], num_vars: int) -> DifferencePolynomial:
@@ -150,22 +169,34 @@ def _coprime(a: tuple, b: tuple) -> bool:
     return not any(map(min, a, b))
 
 
-def _monic(p: dict) -> tuple[tuple, dict]:
-    """(leading monomial, tail divided by the leading coefficient)."""
+def _primitive(p: dict) -> tuple[tuple, int, dict]:
+    """(leading monomial, leading coefficient, tail) of the nonzero int
+    polynomial p (consumed) divided by its content, signed so that the
+    leading coefficient is positive."""
     lm = max(p)
-    lc = p.pop(lm)
-    if lc != 1:
-        p = {m: _exact(Fraction(c) / lc) for m, c in p.items()}
-    return lm, p
+    g = gcd(*p.values())
+    if p[lm] < 0:
+        g = -g
+    if g != 1:
+        p = {m: c // g for m, c in p.items()}
+    return lm, p.pop(lm), p
 
 
-def _normal_form(p: dict, divisors: Sequence[tuple[tuple, dict]]) -> dict:
-    """Full normal form of p (consumed) modulo monic (lm, tail) divisors:
-    the leading term is reduced by the first divisor whose leading
-    monomial divides it, or moved to the remainder.  The terms of p wait
-    in a heap keyed by the negated exponents, so the leading term is a
-    pop; an entry whose term has cancelled since is skipped."""
+def _normal_form(p: dict, divisors: Sequence[tuple[tuple, int, dict]]) -> tuple[dict, int]:
+    """Full normal form of the int polynomial p (consumed) modulo the
+    primitive divisors (lm, lc, tail), without division: (r, scale) with
+    scale > 0 and scale * p congruent to r.
+
+    The leading term c*m is reduced by the first divisor whose leading
+    monomial divides it: with g = gcd(c, lc), the live polynomial and the
+    remainder are scaled by lc/g and (c/g) * q * tail is subtracted, where
+    q = m/lm; otherwise it moves to the remainder.  Scaling keeps the set
+    of monomials present, so every step picks the divisor the rational
+    reduction by monic divisors would pick.  The terms of p wait in a
+    heap keyed by the negated exponents, so the leading term is a pop; an
+    entry whose term has cancelled since is skipped."""
     remainder = {}
+    scale = 1
     heap = [(tuple(map(neg, m)), m) for m in p]
     heapq.heapify(heap)
     while heap:
@@ -173,25 +204,33 @@ def _normal_form(p: dict, divisors: Sequence[tuple[tuple, dict]]) -> dict:
         c = p.pop(m, None)
         if c is None:
             continue
-        for lm, tail in divisors:
+        for lm, lc, tail in divisors:
             if all(map(ge, m, lm)):
+                if lc != 1:
+                    g = gcd(c, lc)
+                    if g != lc:
+                        a = lc // g
+                        scale *= a
+                        p = {t: v * a for t, v in p.items()}
+                        remainder = {t: v * a for t, v in remainder.items()}
+                    c //= g
                 q = tuple(map(sub, m, lm))
                 for t, ct in tail.items():
                     mt = tuple(map(add, q, t))
                     v = p.get(mt)
                     if v is None:
                         heapq.heappush(heap, (tuple(map(neg, mt)), mt))
-                        v = -c * ct
+                        p[mt] = -c * ct
                     else:
                         v -= c * ct
-                        if not v:
+                        if v:
+                            p[mt] = v
+                        else:
                             del p[mt]
-                            continue
-                    p[mt] = v if v.__class__ is int else _exact(v)
                 break
         else:
             remainder[m] = c
-    return remainder
+    return remainder, scale
 
 
 def reduce(
@@ -205,8 +244,11 @@ def reduce(
     G = [g for g in G if not g.is_zero]
     ring = _ring(f.support_vars().union(*(g.support_vars() for g in G)), order)
     index = {v: k for k, v in enumerate(ring)}
-    divisors = [_monic(_pack(g, index)) for g in G]
-    return _unpack(_normal_form(_pack(f, index), divisors), ring, f.num_vars)
+    divisors = [_primitive(_pack(g, index)[0]) for g in G]
+    p, den = _pack(f, index)
+    r, scale = _normal_form(p, divisors)
+    den *= scale
+    return _unpack({m: Fraction(c, den) for m, c in r.items()}, ring, f.num_vars)
 
 
 def s_polynomial(
@@ -220,25 +262,28 @@ def s_polynomial(
     return uf * f - ug * g
 
 
-def _reduced_basis(polys: list[dict]) -> list[tuple[tuple, dict]] | None:
-    """Reduced monic Groebner basis of packed polynomials as (lm, tail)
-    pairs sorted by leading monomial; None for the unit ideal.
+def _reduced_basis(polys: list[dict]) -> list[tuple[tuple, int, dict]] | None:
+    """Reduced Groebner basis of int polynomials as (lm, den, tail)
+    triples sorted by leading monomial, the monic element being
+    lm + tail/den; None for the unit ideal.
 
     Pairs wait in a heap keyed by the lcm of their leading monomials (the
     normal strategy); the Gebauer-Moeller update applies the product and
     chain criteria when a polynomial joins, so no pair is rescanned."""
     lms: list[tuple] = []
+    lcs: list[int] = []
     tails: list[dict] = []
     active: list[int] = []  # indices whose lm no later lm divides
     heap: list[tuple[tuple, int, int]] = []
 
     def join(p: dict) -> bool:
         """Add a nonzero normal form; False if it is a constant."""
-        lm, tail = _monic(p)
+        lm, lc, tail = _primitive(p)
         if not any(lm):
             return False
         k = len(lms)
         lms.append(lm)
+        lcs.append(lc)
         tails.append(tail)
         # new pairs: keep one pair per minimal lcm, then drop coprime ones
         fresh = [(tuple(map(max, lm, lms[g])), g) for g in active]
@@ -270,31 +315,35 @@ def _reduced_basis(polys: list[dict]) -> list[tuple[tuple, dict]] | None:
         return True
 
     def divisors():
-        return [(lms[g], tails[g]) for g in active]
+        return [(lms[g], lcs[g], tails[g]) for g in active]
 
     for p in sorted(polys, key=max):
-        r = _normal_form(p, divisors())
+        r = _normal_form(p, divisors())[0]
         if r and not join(r):
             return None
     while heap:
         lcm, a, b = heapq.heappop(heap)
+        # S(a, b) = (lc_b/g) * qa * tail_a - (lc_a/g) * qb * tail_b
+        g = gcd(lcs[a], lcs[b])
+        fa, fb = lcs[b] // g, lcs[a] // g
         qa = tuple(map(sub, lcm, lms[a]))
         qb = tuple(map(sub, lcm, lms[b]))
-        s = {tuple(map(add, qa, t)): c for t, c in tails[a].items()}
+        s = {tuple(map(add, qa, t)): fa * c for t, c in tails[a].items()}
         for t, c in tails[b].items():
             m = tuple(map(add, qb, t))
-            v = s.get(m, 0) - c
+            v = s.get(m, 0) - fb * c
             if v:
-                s[m] = v if v.__class__ is int else _exact(v)
+                s[m] = v
             else:
                 del s[m]
-        r = _normal_form(s, divisors())
+        r = _normal_form(s, divisors())[0]
         if r and not join(r):
             return None
     basis = []
     for g in sorted(active, key=lms.__getitem__):
-        others = [(lms[h], tails[h]) for h in active if h != g]
-        basis.append((lms[g], _normal_form(dict(tails[g]), others)))
+        others = [(lms[h], lcs[h], tails[h]) for h in active if h != g]
+        tail, scale = _normal_form(dict(tails[g]), others)
+        basis.append((lms[g], lcs[g] * scale, tail))
     return basis
 
 
@@ -305,10 +354,12 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of (F).
 
-    The ring's variables are ranked once by the order and every monomial
-    is packed into an exponent tuple; coefficients stay exact rationals and
-    every basis element is kept monic.  The unit ideal yields the basis
-    [1]; the zero ideal yields []."""
+    The ring's variables are ranked once by the order, every monomial is
+    packed into an exponent tuple and every coefficient is an int: the
+    input's denominators are cleared on entry and basis elements are kept
+    primitive.  The result is monic over the rationals; its generators are
+    built on first read.  The unit ideal yields the basis [1]; the zero
+    ideal yields []."""
     polys = [f for f in F if not f.is_zero]
     if variables is not None:
         variables = frozenset(SigmaVariable(*v) for v in variables)
@@ -322,17 +373,16 @@ def buchberger(
     num_vars = F[0].num_vars if F else 0
     ring = _ring(variables, order)
     index = {v: k for k, v in enumerate(ring)}
-    basis = _reduced_basis([_pack(f, index) for f in polys])
+    basis = _reduced_basis([_pack(f, index)[0] for f in polys])
     if basis is None:
-        return GroebnerBasis([DifferencePolynomial.constant(1, num_vars)], variables, order)
-    generators = [_unpack({lm: 1} | tail, ring, num_vars) for lm, tail in basis]
-    return GroebnerBasis(generators, variables, order)
+        basis = [((0,) * len(ring), 1, {})]
+    return GroebnerBasis(basis, ring, num_vars, order)
 
 
 def leading_monomial_ideal(G: GroebnerBasis) -> list[SigmaMonomial]:
     """Leading monomials of the reduced basis: the minimal generators of
     lm((G)) over the ambient variable set."""
-    return [G.order.leading(g)[0] for g in G.generators]
+    return [SigmaMonomial((v, x) for v, x in zip(G.ring, lm) if x) for lm, _, _ in G.packed]
 
 
 def basis_dimension(basis: GroebnerBasis) -> int | EmptyDimension:
@@ -341,8 +391,8 @@ def basis_dimension(basis: GroebnerBasis) -> int | EmptyDimension:
     squarefree lm supports.  EMPTY for the unit ideal (zero ring)."""
     if basis.is_unit_ideal:
         return EMPTY
-    supports = [m.support() for m in leading_monomial_ideal(basis)]
-    return monomial_krull_dim(supports, len(basis.variables))
+    supports = [[k for k, x in enumerate(lm) if x] for lm, _, _ in basis.packed]
+    return monomial_krull_dim(supports, len(basis.ring))
 
 
 def ideal_dimension(

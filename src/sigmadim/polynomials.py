@@ -67,12 +67,6 @@ class SigmaMonomial:
     def is_one(self) -> bool:
         return not self.exps
 
-    def exponent(self, var: SigmaVariable) -> int:
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return 0
-
     def support(self) -> frozenset[SigmaVariable]:
         return frozenset(v for v, _ in self.exps)
 
@@ -84,9 +78,6 @@ class SigmaMonomial:
         if not self.exps:
             return None
         return max(v.shift for v, _ in self.exps)
-
-    def total_degree(self) -> int:
-        return sum(e for _, e in self.exps)
 
     def shifted(self, ell: int) -> "SigmaMonomial":
         if ell == 0:

@@ -184,6 +184,34 @@ class TestExitCodes:
         code, _, err = run(["sdim", "--monomial", "1", "--imax", "3"])
         assert code == 4
 
+    @pytest.mark.parametrize("imax", ["1", "-1"])
+    def test_monomialize_below_generator_order(self, imax):
+        # the window drops y1*s^2(y1) - 1; an empty family would claim the zero ideal
+        code, out, err = run(["monomialize", "y1*s^2(y1)-1", "--imax", imax])
+        assert code == 2
+        assert out == ""
+        assert f"i_max={imax} below the maximal generator order 2" in err
+
+    def test_negative_depth_on_covering_path(self):
+        code, out, err = run(["sdim", "--monomial", "y1*s(y1)", "--imax", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "i_max=-1 must be non-negative" in err
+
+    def test_negative_depth_on_family_path(self, tmp_path):
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps({"n": 1, "members": [[[0, 1], [1, 1]]]}))
+        code, out, err = run(["sdim", "--family", str(fam), "--imax", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "i_max=-1 must be non-negative" in err
+
+    def test_negative_free_depth(self):
+        code, out, err = run(["free", "y1", "--set", "{}", "--depth", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "depth=-1 must be non-negative" in err
+
     def test_unknown_flag_is_an_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["cover", "0,1", "--frobnicate"])

@@ -347,6 +347,11 @@ class TestMonomialize:
         with pytest.raises(UnitIdealError):
             monomialize([poly("y1", 1), poly("y1 - 1", 1)], 2)
 
+    @pytest.mark.parametrize("i_max", [1, -1])
+    def test_below_generator_order_rejected(self, i_max):
+        with pytest.raises(ValueError, match="below the maximal generator order 2"):
+            monomialize([poly("y1*s^2(y1) - 1", 1)], i_max)
+
 
 class TestNotFreeCertificate:
     def test_finds_generator(self):
@@ -360,6 +365,10 @@ class TestNotFreeCertificate:
     def test_shifted_generator(self):
         cert = not_free_certificate([poly("y1", 1)], [(3, 1)], 3)
         assert cert == poly("s^3(y1)", 1)
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            not_free_certificate([poly("y1", 1)], [], -1)
 
 
 class TestDetectEventualLinear:
@@ -417,6 +426,19 @@ class TestDispatch:
         rep = sigma_dim([mono("y1*s(y1)", 2), mono("y2", 2)], i_max=4)
         assert rep.method == "family"
         assert rep.certified_value == Fraction(1, 2)
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            [poly("y1*s(y1)", 1)],  # covering path
+            [mono("y1*s(y1)", 2), mono("y2", 2)],  # family of monomials
+            SigmaFamily(1, [[(0, 1), (1, 1)]]),
+            [DifferencePolynomial.zero(2)],  # the zero ideal's empty family
+        ],
+    )
+    def test_negative_depth_rejected(self, system):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            sigma_dim(system, i_max=-1)
 
     def test_unit_rejected(self):
         from sigmadim import SigmaMonomial

@@ -24,6 +24,7 @@ from sigmadim import (
     reduce,
 )
 from sigmadim.engine import truncation_generators
+from sigmadim.groebner import basis_dimension
 from conftest import mono, oracle_buchberger, oracle_reduce, poly
 
 
@@ -251,9 +252,22 @@ def test_matches_sympy_on_intro_truncation():
 # -- cross-check against the plain Buchberger loop ----------------------------
 
 
-def _degree_two_system(rng):
+def _integer_coefficient(rng):
+    return Fraction(rng.randint(-3, 3))
+
+
+def _rational_coefficient(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def _non_unit_coefficient(rng):
+    return Fraction(rng.choice((-6, -4, -3, -2, 2, 3, 4, 6)), rng.choice((1, 1, 5)))
+
+
+def _degree_two_system(rng, coefficient=_integer_coefficient):
     """One to three polynomials in n <= 2 variables, order <= 2, total
-    degree <= 2, with one to four terms and coefficients in -3..3."""
+    degree <= 2, with one to four terms and coefficients drawn by
+    `coefficient` (default: integers in -3..3) before like terms merge."""
     n = rng.choice([1, 2])
     cells = [(a, j) for a in range(3) for j in range(1, n + 1)]
     polys = []
@@ -265,7 +279,7 @@ def _degree_two_system(rng):
                 var = rng.choice(cells)
                 m[var] = m.get(var, 0) + 1
             monomial = SigmaMonomial(m)
-            terms[monomial] = terms.get(monomial, Fraction(0)) + Fraction(rng.randint(-3, 3))
+            terms[monomial] = terms.get(monomial, Fraction(0)) + coefficient(rng)
         polys.append(DifferencePolynomial(terms, n))
     return polys
 
@@ -304,6 +318,61 @@ def test_reduce_matches_oracle_on_non_bases():
             assert reduce(f, F[::-1], order) == oracle_reduce(f, F[::-1], order)
 
 
+# the integer kernel clears denominators on entry and scales instead of
+# dividing; these inputs have rational coefficients and leading
+# coefficients other than +-1, so every scaling step is exercised
+
+
+@pytest.mark.parametrize("coefficient", [_rational_coefficient, _non_unit_coefficient])
+def test_matches_oracle_on_rational_systems_lex(coefficient):
+    rng = random.Random(14)
+    for _ in range(80):
+        F = _degree_two_system(rng, coefficient)
+        assert list(buchberger(F).generators) == oracle_buchberger(F), F
+
+
+@pytest.mark.parametrize("coefficient", [_rational_coefficient, _non_unit_coefficient])
+def test_matches_oracle_on_rational_systems_elimination_order(coefficient):
+    rng = random.Random(15)
+    checked = 0
+    while checked < 60:
+        F = _degree_two_system(rng, coefficient)
+        variables = sorted(frozenset().union(*(f.support_vars() for f in F)))
+        if len(variables) < 2:
+            continue
+        order = elimination_order(rng.sample(variables, rng.randint(1, len(variables) - 1)))
+        assert list(buchberger(F, variables, order).generators) == oracle_buchberger(F, order), F
+        checked += 1
+
+
+@pytest.mark.parametrize("coefficient", [_rational_coefficient, _non_unit_coefficient])
+def test_reduce_matches_oracle_on_rational_non_bases(coefficient):
+    rng = random.Random(16)
+    checked = 0
+    while checked < 60:
+        F = [f for f in _degree_two_system(rng, coefficient) if not f.is_zero]
+        if len(F) < 2:
+            continue
+        # s^3(y1) ranks above every variable of F: it joins the remainder
+        # first, before any scaling
+        f = F[0] * F[-1] + F[0].scale(Fraction(1, 3)) + poly("s^3(y1)", F[0].num_vars)
+        for order in (LEX, elimination_order([(0, 1)])):
+            assert reduce(f, F[1:], order) == oracle_reduce(f, F[1:], order)
+            assert reduce(f, F[::-1], order) == oracle_reduce(f, F[::-1], order)
+        checked += 1
+
+
+def test_non_unit_leading_coefficients():
+    # leading coefficients 2 and 3 with coprime tails: reducing by one
+    # scales the polynomial under reduction by the other
+    F = [poly("2*y1*y2 - 3*y1 + 1", 2), poly("3*y2^2 - 2*y1 - 5", 2)]
+    expected = oracle_buchberger(F)
+    assert list(buchberger(F).generators) == expected
+    f = poly("s(y1) + 5*y1*y2^2 + 7*y2 - 1", 2)
+    assert reduce(f, F) == oracle_reduce(f, F)
+    assert reduce(f.scale(Fraction(2, 7)), F[::-1]) == oracle_reduce(f.scale(Fraction(2, 7)), F[::-1])
+
+
 # the truncation systems of the benchmark, one coefficient draw each, with
 # the window depth it uses
 TRUNCATION_SYSTEMS = [
@@ -325,6 +394,24 @@ def test_matches_oracle_on_every_truncation_window(texts, depth):
         gens = truncation_generators(F, i)
         variables = [(a, j) for a in range(i + 1) for j in range(1, n + 1)]
         assert list(buchberger(gens, variables).generators) == oracle_buchberger(gens), i
+
+
+@pytest.mark.parametrize("texts,depth", TRUNCATION_SYSTEMS)
+def test_packed_dimension_matches_generators(texts, depth):
+    # basis_dimension and leading_monomial_ideal read the packed leading
+    # monomials without building the generators; reading the generators
+    # must give the same answers
+    n = 2 if any("y2" in t for t in texts) else 1
+    F = [poly(t, n) for t in texts]
+    for i in range(depth + 1):
+        variables = [(a, j) for a in range(i + 1) for j in range(1, n + 1)]
+        basis = buchberger(truncation_generators(F, i), variables)
+        packed = basis_dimension(basis)
+        lms = leading_monomial_ideal(basis)
+        assert basis._generators is None, "the packed readers built the generators"
+        read = [LEX.leading(g)[0] for g in basis.generators]
+        assert lms == read, i
+        assert packed == monomial_krull_dim([m.support() for m in read], len(variables)), i
 
 
 def test_matches_oracle_where_gebauer_moeller_strictness_matters():
