@@ -45,7 +45,6 @@ from .groebner import (
     ideal_dimension,
     leading_monomial_ideal,
     reduce,
-    s_polynomial,
 )
 from .lab import (
     BudgetExceededError,

@@ -116,6 +116,8 @@ def _emit(args, verb: str, result: dict, lines: list[str]) -> int:
 
 
 def _cmd_sdim(args) -> int:
+    if sum(map(bool, (args.poly, args.monomial, args.family))) > 1:
+        raise ParseError("pass only one of polynomials, --monomial, or --family", 0)
     if args.family:
         report = sigma_dim(_load_family(args.family), i_max=args.imax)
     elif args.monomial:
@@ -166,6 +168,8 @@ def _cmd_dimseq(args) -> int:
 
 
 def _cmd_free(args) -> int:
+    if args.family and args.poly:
+        raise ParseError("pass polynomials or --family, not both", 0)
     cells = parse_cells(args.set)
     if args.family:
         family = _load_family(args.family)

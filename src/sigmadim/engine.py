@@ -3,7 +3,7 @@
 Exact values:
   * univariate sigma-monomials, via covering density (1 - c(E));
   * squarefree monomial sigma-ideals given as families, via the minimum
-    mean cycle of a column-pick automaton.
+    mean cycle of the column-pick automaton (`families.pick_graph`).
 
 Convergent upper bounds for general systems, via Krull dimensions of
 shift-generated truncations (the d-hat sequence); the bound is sound
@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-import numpy as np
-
 from .covering import IntSet, covering_density, reflect, tau_interval
 from .families import (
     STATE_BIT_CAP,  # re-exported: the cap belongs to the pick automaton
@@ -30,12 +28,11 @@ from .families import (
     SigmaFamily,
     UnitIdealError,
     family_from_monomials,
-    _popcounts,
-    pick_states,
+    pick_graph,
     window_taus,
 )
 from .groebner import LEX, GroebnerBasis, basis_dimension, buchberger, eliminate, leading_monomial_ideal
-from .meancycle import CertificateError, Graph, extract_min_mean_cycle, minimum_cycle_mean
+from .meancycle import CertificateError, extract_min_mean_cycle, minimum_cycle_mean
 from .polynomials import DifferencePolynomial, SigmaMonomial, SigmaVariable
 
 DEFAULT_GROEBNER_IMAX = 8
@@ -128,26 +125,6 @@ def sigma_dim_univariate_monomial(m: SigmaMonomial, check: bool = False) -> Frac
     return 1 - covering_density(shifts, check=check)
 
 
-def _pick_graph(family: SigmaFamily) -> Graph:
-    """Column-pick automaton of a family as an explicit graph: the states
-    and allowed steps of `pick_states`, edge weight = picks in the new
-    column, edge label = the new column's pick pattern."""
-    n = family.n
-    bits, allowed = pick_states(family)
-    full = (1 << bits) - 1
-    cost = _popcounts(n)
-    states = np.arange(1 << bits, dtype=np.int64)
-    src, dst, pick = [], [], []
-    for p in range(1 << n):
-        nxt = ((states << n) | p) & full
-        ok = allowed[nxt]
-        src.append(states[ok])
-        dst.append(nxt[ok])
-        pick.append(np.full(len(dst[-1]), p, dtype=np.int64))
-    pick = np.concatenate(pick)
-    return Graph(1 << bits, np.concatenate(src), np.concatenate(dst), cost[pick], pick)
-
-
 def _verify_periodic_picks(family: SigmaFamily, picks: list[int]) -> bool:
     """True if the periodic column-pick pattern hits every shifted member
     of the family (bi-infinite periodic check over one period)."""
@@ -171,7 +148,7 @@ def sigma_dim_family(family: SigmaFamily, check: bool = False) -> Fraction:
     member, and finite window transversal ratios never exceed C."""
     if not family.members:
         return Fraction(family.n)
-    graph = _pick_graph(family)
+    graph = pick_graph(family)
     if not check:
         return family.n - minimum_cycle_mean(graph, source=0)
     c, picks = extract_min_mean_cycle(graph, source=0)

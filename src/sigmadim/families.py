@@ -3,11 +3,14 @@
 A squarefree sigma-monomial corresponds to a non-empty finite set of cells
 (shift, index) in N x {1..n}; a family of such supports encodes the
 monomial sigma-ideal generated by all forward shifts of its members.  This
-module computes window transversal numbers, window dimensions and
-lexicographically least maximum free subsets by one finite-horizon
-min-plus pass over the column-pick automaton (capped at STATE_BIT_CAP
-state bits), free-set tests directly, and the Krull dimension of ordinary
-monomial ideals by an exact minimum hitting set.
+module owns the column-pick automaton: one transfer table over the pick
+patterns of the last width - 1 columns (`pick_automaton`, capped at
+STATE_BIT_CAP bits of n * width), read as a graph for the cycle-mean solve
+(`pick_graph`) and by finite-horizon min-plus passes for window
+transversal numbers, window dimensions and lexicographically least
+maximum free subsets.  It also tests free sets directly and computes the
+Krull dimension of ordinary monomial ideals by an exact minimum hitting
+set.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .meancycle import INF
+from .meancycle import INF, Graph
 from .polynomials import SigmaMonomial
 from .transversal import minimum_hitting_set_size
 
@@ -26,7 +29,7 @@ STATE_BIT_CAP = 20
 
 
 class CapExceededError(ValueError):
-    """Raised when the pick-automaton state space would exceed the cap."""
+    """Raised when the pick-automaton table would exceed the cap."""
 
 
 class EmptyDimension:
@@ -164,34 +167,43 @@ def window_constraints(family: SigmaFamily, i: int) -> list[frozenset[Cell]]:
     return out
 
 
-def pick_states(family: SigmaFamily) -> tuple[int, np.ndarray]:
-    """State bits and allowed-state mask of the column-pick automaton.
+def pick_automaton(family: SigmaFamily) -> np.ndarray:
+    """Transfer table of the column-pick automaton.
 
-    A state is the pick pattern of the last `width` columns (n bits per
-    column, newest column in the low bits).  A step appends one column and
-    may land on state t only if allowed[t]: every member whose window ends
-    at the newest column has some picked cell."""
+    A state is the pick pattern of the last width - 1 columns (n bits per
+    column, newest column in the low bits).  A step from state r appends
+    the column pattern p; step[r, p] is its cost popcount(p) when the
+    pattern (r << n) | p hits every member whose window ends at the new
+    column, and INF otherwise.  The step lands in the state
+    ((r << n) | p) & (len(step) - 1).  The table has 2^(n * width)
+    entries, capped at STATE_BIT_CAP bits."""
     n, w = family.n, family.width
     bits = n * w
     if bits > STATE_BIT_CAP:
         raise CapExceededError(
             f"pick automaton needs {bits} state bits (n*width), cap is {STATE_BIT_CAP}"
         )
-    states = np.arange(1 << bits, dtype=np.int64)
-    allowed = np.ones(1 << bits, dtype=bool)
+    patterns = np.arange(1 << bits, dtype=np.int64)
+    hit = np.ones(1 << bits, dtype=bool)
     for s in family.members:
         mask = 0
         for (a, j) in s.cells:
             # cell at shift a of a member of order o sits (o - a) columns
             # behind the newest column
             mask |= 1 << ((s.ord - a) * n + (j - 1))
-        allowed &= (states & mask) != 0
-    return bits, allowed
+        hit &= (patterns & mask) != 0
+    picks = np.array([bin(p).count("1") for p in range(1 << n)], dtype=np.int64)
+    return np.where(hit.reshape(-1, 1 << n), picks, INF)
 
 
-def _popcounts(n: int) -> np.ndarray:
-    """Picks in each of the 2^n column patterns: the cost of a step."""
-    return np.array([bin(p).count("1") for p in range(1 << n)], dtype=np.int64)
+def pick_graph(family: SigmaFamily) -> Graph:
+    """The pick automaton as an explicit graph: one edge per finite entry
+    of `pick_automaton`, weighted by its picks and labeled by the new
+    column's pick pattern."""
+    step = pick_automaton(family)
+    src, pick = np.nonzero(step < INF)
+    dst = ((src << family.n) | pick) & (len(step) - 1)
+    return Graph(len(step), src, dst, step[src, pick], pick)
 
 
 def window_taus(family: SigmaFamily, i_max: int) -> list[int]:
@@ -200,24 +212,20 @@ def window_taus(family: SigmaFamily, i_max: int) -> list[int]:
 
     The pass starts in the all-picked state, which makes every member
     longer than the columns appended so far vacuous; each appended column
-    costs its picks and must land in an allowed state, so every shifted
-    member inside the window is checked exactly once.  After i+1 columns
-    the minimum over states is tau(family, i)."""
+    costs its picks and must hit the members that end in it, so every
+    shifted member inside the window is checked exactly once.  After i+1
+    columns the minimum over states is tau(family, i)."""
     if not family.members:
         return [0] * (i_max + 1)
-    n = family.n
-    bits, allowed = pick_states(family)
-    blocked = ~allowed
-    cost = _popcounts(n)
-    dp = np.full(1 << bits, INF, dtype=np.int64)
+    step = pick_automaton(family)
+    dp = np.full(len(step), INF, dtype=np.int64)
     dp[-1] = 0
     taus = []
     for _ in range(i_max + 1):
-        # the predecessors of state t are the 2^n states whose low
-        # bits - n bits equal t >> n: one column of the reshaped dp
-        best = dp.reshape(1 << n, -1).min(axis=0)
-        dp = (best[:, None] + cost[None, :]).ravel()
-        dp[blocked] = INF
+        # entry k = (r << n) | p of the table lands in state k mod len(dp),
+        # so column t of the reshaped sums holds the steps into state t;
+        # `initial` caps blocked sums at INF, so they cannot overflow
+        dp = (dp[:, None] + step).reshape(-1, len(dp)).min(axis=0, initial=INF)
         taus.append(int(dp.min()))
     return taus
 
@@ -261,32 +269,25 @@ def max_free_subset(family: SigmaFamily, i: int) -> frozenset[Cell]:
     n = family.n
     if not family.members:
         return frozenset((a, j) for a in range(i + 1) for j in range(1, n + 1))
-    bits, allowed = pick_states(family)
-    full = (1 << bits) - 1
-    low = full >> n  # the part of a state the next step sees
-    cost = _popcounts(n)
-    states = np.arange(1 << bits, dtype=np.int64)
-    step_cost = cost[states & ((1 << n) - 1)]
-    seen_next = states & low
-    # rest[c][r]: least picks in columns c..i from a state whose low bits
-    # - n bits are r; rest[i + 1] = 0
-    rest = [np.zeros(low + 1, dtype=np.int64)]
+    step = pick_automaton(family)
+    full = len(step) - 1  # the all-picked state
+    nxt = np.arange(step.size, dtype=np.int64).reshape(step.shape) & full
+    # rest[c][r]: least picks in columns c..i from state r; rest[i + 1] = 0.
+    # Finite everywhere: picking a whole column is never blocked
+    rest = [np.zeros(len(step), dtype=np.int64)]
     for _ in range(i + 1):
-        through = np.where(allowed, step_cost + rest[-1][seen_next], INF)
-        rest.append(through.reshape(low + 1, 1 << n).min(axis=1))
+        rest.append((step + rest[-1][nxt]).min(axis=1))
     rest.reverse()
     # lexicographic preference: cell (a, 1) free first, then (a, 2), ...
     order = sorted(range(1 << n), key=lambda p: [(p >> k) & 1 for k in range(n)])
     state = full
     free: set[Cell] = set()
     for a in range(i + 1):
-        need = rest[a][state & low]
-        for pick in order:
-            nxt = ((state << n) | pick) & full
-            if allowed[nxt] and cost[pick] + rest[a + 1][nxt & low] == need:
-                break
+        need = rest[a][state]
+        through = (step[state] + rest[a + 1][nxt[state]]).tolist()
+        pick = next(p for p in order if through[p] == need)
         free.update((a, j) for j in range(1, n + 1) if not pick >> (j - 1) & 1)
-        state = nxt
+        state = int(nxt[state, pick])
     return frozenset(free)
 
 
@@ -314,7 +315,8 @@ __all__ = [
     "is_free",
     "max_free_subset",
     "monomial_krull_dim",
-    "pick_states",
+    "pick_automaton",
+    "pick_graph",
     "tau_family",
     "window_constraints",
     "window_dim",

@@ -49,9 +49,6 @@ class MonomialOrder:
         sparse exponent vectors."""
         return tuple(sorted(((self._rank(v), e) for v, e in m.exps), reverse=True))
 
-    def greater(self, a: SigmaMonomial, b: SigmaMonomial) -> bool:
-        return self.key(a) > self.key(b)
-
     def leading(self, f: DifferencePolynomial) -> tuple[SigmaMonomial, Fraction]:
         if f.is_zero:
             raise ValueError("zero polynomial has no leading term")
@@ -249,17 +246,6 @@ def reduce(
     r, scale = _normal_form(p, divisors)
     den *= scale
     return _unpack({m: Fraction(c, den) for m, c in r.items()}, ring, f.num_vars)
-
-
-def s_polynomial(
-    f: DifferencePolynomial, g: DifferencePolynomial, order: MonomialOrder = LEX
-) -> DifferencePolynomial:
-    mf, cf = order.leading(f)
-    mg, cg = order.leading(g)
-    lcm = mf.lcm(mg)
-    uf = DifferencePolynomial({lcm / mf: Fraction(1) / cf}, f.num_vars)
-    ug = DifferencePolynomial({lcm / mg: Fraction(1) / cg}, g.num_vars)
-    return uf * f - ug * g
 
 
 def _reduced_basis(polys: list[dict]) -> list[tuple[tuple, int, dict]] | None:

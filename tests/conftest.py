@@ -4,10 +4,12 @@ The oracles deliberately avoid the library's own algorithms: hitting sets
 by subset enumeration, interval transversals by combinations over
 placements, free subsets by window enumeration, minimum cycle means by
 Karp's dynamic program (the algorithm the library used before policy
-iteration), Groebner bases by the plain Buchberger loop the library used
-before packed exponents and the pair heap, F_p solution sets by evaluating
-every equation on the whole window grid (the enumeration the library used
-before the cell-by-cell search).
+iteration), the pick automaton on the patterns of the last `width`
+columns (the state space the library used before its transfer table on
+width - 1 columns), Groebner bases by the plain Buchberger loop the
+library used before packed exponents and the pair heap, F_p solution sets
+by evaluating every equation on the whole window grid (the enumeration the
+library used before the cell-by-cell search).
 """
 
 from __future__ import annotations
@@ -153,6 +155,36 @@ def karp_min_mean(g, source: int = 0) -> Fraction:
     return min(Fraction(int(best_num[v]), int(best_den[v])) for v in range(n) if have[v])
 
 
+def oracle_pick_graph(family):
+    """The pick automaton of a family on full states: a state is the pick
+    pattern of the last `width` columns (newest column in the low bits), and
+    a step appending pattern p may land on a state only if every member
+    whose window ends at the newest column has a picked cell there.  Edge
+    weight = picks in the new column, edge label = its pattern."""
+    from sigmadim.meancycle import Graph
+
+    n = family.n
+    bits = n * family.width
+    full = (1 << bits) - 1
+    states = np.arange(1 << bits, dtype=np.int64)
+    allowed = np.ones(1 << bits, dtype=bool)
+    for s in family.members:
+        mask = 0
+        for a, j in s.cells:
+            mask |= 1 << ((s.ord - a) * n + (j - 1))
+        allowed &= (states & mask) != 0
+    src, dst, pick = [], [], []
+    for p in range(1 << n):
+        nxt = ((states << n) | p) & full
+        ok = allowed[nxt]
+        src.append(states[ok])
+        dst.append(nxt[ok])
+        pick.append(np.full(len(dst[-1]), p, dtype=np.int64))
+    pick = np.concatenate(pick)
+    cost = np.array([bin(p).count("1") for p in range(1 << n)], dtype=np.int64)
+    return Graph(1 << bits, np.concatenate(src), np.concatenate(dst), cost[pick], pick)
+
+
 def oracle_reduce(f, G, order=LEX):
     """Full normal form of f modulo G on SigmaMonomial-keyed polynomials:
     the leading term is reduced by the first g whose leading monomial
@@ -178,7 +210,7 @@ def _oracle_monic(f, order):
     return f.scale(Fraction(1) / c)
 
 
-def _oracle_s_polynomial(f, g, order):
+def oracle_s_polynomial(f, g, order):
     mf, cf = order.leading(f)
     mg, cg = order.leading(g)
     lcm = mf.lcm(mg)
@@ -220,7 +252,7 @@ def oracle_buchberger(F, order=LEX) -> list:
         done.add((i, j))
         if lms[i].is_coprime(lms[j]) or chain_skippable(i, j):
             continue
-        r = oracle_reduce(_oracle_s_polynomial(G[i], G[j], order), G, order)
+        r = oracle_reduce(oracle_s_polynomial(G[i], G[j], order), G, order)
         if r.is_zero:
             continue
         G.append(_oracle_monic(r, order))

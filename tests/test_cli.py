@@ -212,6 +212,23 @@ class TestExitCodes:
         assert out == ""
         assert "depth=-1 must be non-negative" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sdim", "--monomial", "y1*s(y1)", "y2*s^5(y2)"],
+            ["sdim", "--family", "FAMILY", "y1*y2"],
+            ["sdim", "--family", "FAMILY", "--monomial", "y1*s(y1)"],
+            ["free", "--family", "FAMILY", "y1*s(y1)", "--set", "{(0,1)}"],
+        ],
+    )
+    def test_mixed_inputs_are_rejected(self, argv, tmp_path):
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps({"n": 1, "members": [[[0, 1], [1, 1]]]}))
+        code, out, err = run([str(fam) if a == "FAMILY" else a for a in argv])
+        assert code == 2
+        assert out == ""
+        assert "error: pass" in err
+
     def test_unknown_flag_is_an_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["cover", "0,1", "--frobnicate"])

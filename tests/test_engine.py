@@ -38,7 +38,8 @@ from sigmadim import (
     window_dim,
 )
 from sigmadim.covering import IntSet, tau_interval, reflect
-from sigmadim.engine import DimEntry, DimensionReport, _family_report, _pick_graph
+from sigmadim.engine import DimEntry, DimensionReport, _family_report
+from sigmadim.families import pick_graph
 from conftest import mono, poly, random_system
 
 INTRO = lambda: [poly("y1*s(y1)", 2), poly("y1*y2 - y2*s(y2)", 2)]
@@ -114,18 +115,20 @@ class TestFamilyValue:
         rng = random.Random(43)
         for _ in range(12):
             fam = random_family(rng, n=rng.randint(1, 3), max_ord=2)
-            n, bits = fam.n, fam.n * fam.width
+            n, bits = fam.n, fam.n * (fam.width - 1)
             want = []
-            for pick in range(1 << n):
-                for u in range(1 << bits):
-                    v = ((u << n) | pick) & ((1 << bits) - 1)
-                    window = [(v >> (n * a)) & ((1 << n) - 1) for a in range(fam.width)]
+            for u in range(1 << bits):
+                for pick in range(1 << n):
+                    pattern = (u << n) | pick
+                    window = [(pattern >> (n * a)) & ((1 << n) - 1) for a in range(fam.width)]
                     if all(
                         any(window[s.ord - a] >> (j - 1) & 1 for a, j in s.cells)
                         for s in fam.members
                     ):
+                        v = pattern & ((1 << bits) - 1)
                         want.append((u, v, bin(pick).count("1"), pick))
-            g = _pick_graph(fam)
+            g = pick_graph(fam)
+            assert g.num_states == 1 << bits, fam
             got = list(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist(), g.label.tolist()))
             assert got == want, fam
 

@@ -25,7 +25,7 @@ from sigmadim import (
 )
 from sigmadim.families import STATE_BIT_CAP, window_constraints
 from sigmadim.transversal import minimum_hitting_set_size
-from conftest import brute_max_free_size, brute_min_hitting_set_size, mono
+from conftest import brute_max_free_size, brute_min_hitting_set_size, mono, oracle_pick_graph
 
 YS = SigmaFamily(1, [[(0, 1), (1, 1)]])  # the y*s(y) family
 
@@ -114,6 +114,24 @@ class TestWindowTaus:
             taus = window_taus(fam, 10)
             for i in range(11):
                 assert taus[i] == minimum_hitting_set_size(window_constraints(fam, i)), (fam, i)
+
+    def test_long_pass_matches_the_full_state_oracle(self):
+        # a state that only blocked steps reach needs up to width - 1 of
+        # them: its cost must stay capped at INF over a long pass instead
+        # of wrapping around int64
+        fam = SigmaFamily(1, [[(0, 1), (1, 1)], [(0, 1), (9, 1)]])
+        g = oracle_pick_graph(fam)
+        edges = list(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()))
+        cost = {g.num_states - 1: 0}  # the all-picked start
+        want = []
+        for _ in range(101):
+            nxt = {}
+            for u, v, w in edges:
+                if u in cost and (v not in nxt or cost[u] + w < nxt[v]):
+                    nxt[v] = cost[u] + w
+            cost = nxt
+            want.append(min(cost.values()))
+        assert window_taus(fam, 100) == want
 
     def test_prefix_of_longer_pass(self):
         rng = random.Random(13)

@@ -14,10 +14,10 @@ import pytest
 
 import sigmadim
 import sigmadim.meancycle as meancycle
-from conftest import karp_min_mean
+from conftest import karp_min_mean, oracle_pick_graph
 from sigmadim import CertificateError, SigmaFamily
 from sigmadim.covering import IntSet, coverage_graph
-from sigmadim.engine import _pick_graph
+from sigmadim.families import pick_graph
 from sigmadim.meancycle import Graph, extract_min_mean_cycle, minimum_cycle_mean
 
 
@@ -209,9 +209,18 @@ def test_pick_automata_match_karp():
     rng = random.Random(31)
     for max_bits, full in [(8, False)] * 40 + [(10, True)] * 3 + [(12, True)]:
         fam = random_pick_family(rng, max_bits, full)
-        g = _pick_graph(fam)
+        g = pick_graph(fam)
         assert not full or fam.width == max_bits // fam.n
         assert minimum_cycle_mean(g) == karp_min_mean(g), fam
+
+
+def test_pick_graph_matches_the_full_state_oracle():
+    rng = random.Random(47)
+    for max_bits, full in [(8, False)] * 30 + [(12, False)] * 10 + [(12, True)] * 4:
+        fam = random_pick_family(rng, max_bits, full)
+        g = pick_graph(fam)
+        assert g.num_states == 2 ** (fam.n * (fam.width - 1)), fam
+        assert minimum_cycle_mean(g) == minimum_cycle_mean(oracle_pick_graph(fam)), fam
 
 
 def test_coverage_graphs_match_karp():
@@ -255,7 +264,7 @@ def test_negative_cycle_restarts_the_iteration(monkeypatch):
         g = random_graph(rng, feature)
         assert minimum_cycle_mean(g) == karp_min_mean(g)
     for _ in range(10):
-        g = _pick_graph(random_pick_family(rng, 8))
+        g = pick_graph(random_pick_family(rng, 8))
         assert minimum_cycle_mean(g) == karp_min_mean(g)
 
 
