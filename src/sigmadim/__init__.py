@@ -42,7 +42,6 @@ from .groebner import (
     buchberger,
     eliminate,
     elimination_order,
-    ideal_dimension,
     leading_monomial_ideal,
     reduce,
 )

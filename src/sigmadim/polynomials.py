@@ -90,28 +90,6 @@ class SigmaMonomial:
             merged[v] = merged.get(v, 0) + e
         return SigmaMonomial(merged)
 
-    def divides(self, other: "SigmaMonomial") -> bool:
-        mine = dict(other.exps)
-        return all(mine.get(v, 0) >= e for v, e in self.exps)
-
-    def __truediv__(self, other: "SigmaMonomial") -> "SigmaMonomial":
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            got = merged.get(v, 0) - e
-            if got < 0:
-                raise ValueError(f"{other} does not divide {self}")
-            merged[v] = got
-        return SigmaMonomial(merged)
-
-    def lcm(self, other: "SigmaMonomial") -> "SigmaMonomial":
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = max(merged.get(v, 0), e)
-        return SigmaMonomial(merged)
-
-    def is_coprime(self, other: "SigmaMonomial") -> bool:
-        return not (self.support() & other.support())
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SigmaMonomial) and self.exps == other.exps
 

@@ -7,7 +7,8 @@ Karp's dynamic program (the algorithm the library used before policy
 iteration), the pick automaton on the patterns of the last `width`
 columns (the state space the library used before its transfer table on
 width - 1 columns), Groebner bases by the plain Buchberger loop the
-library used before packed exponents and the pair heap, F_p solution sets
+library used before packed exponents and the pair heap, with divisibility,
+quotients, lcms and coprimality on SigmaMonomials, F_p solution sets
 by evaluating every equation on the whole window grid (the enumeration the
 library used before the cell-by-cell search).
 """
@@ -185,6 +186,34 @@ def oracle_pick_graph(family):
     return Graph(1 << bits, np.concatenate(src), np.concatenate(dst), cost[pick], pick)
 
 
+def oracle_divides(a, b) -> bool:
+    """The monomial a divides the monomial b."""
+    mine = dict(b.exps)
+    return all(mine.get(v, 0) >= e for v, e in a.exps)
+
+
+def oracle_quotient(b, a):
+    """b / a for monomials with a dividing b."""
+    merged = dict(b.exps)
+    for v, e in a.exps:
+        got = merged.get(v, 0) - e
+        if got < 0:
+            raise ValueError(f"{a} does not divide {b}")
+        merged[v] = got
+    return SigmaMonomial(merged)
+
+
+def oracle_lcm(a, b):
+    merged = dict(a.exps)
+    for v, e in b.exps:
+        merged[v] = max(merged.get(v, 0), e)
+    return SigmaMonomial(merged)
+
+
+def oracle_coprime(a, b) -> bool:
+    return not (a.support() & b.support())
+
+
 def oracle_reduce(f, G, order=LEX):
     """Full normal form of f modulo G on SigmaMonomial-keyed polynomials:
     the leading term is reduced by the first g whose leading monomial
@@ -194,13 +223,13 @@ def oracle_reduce(f, G, order=LEX):
     work = f
     while not work.is_zero:
         m, c = order.leading(work)
-        hit = next(((g, lm, lc) for g, lm, lc in divisors if lm.divides(m)), None)
+        hit = next(((g, lm, lc) for g, lm, lc in divisors if oracle_divides(lm, m)), None)
         if hit is None:
             remainder[m] = remainder.get(m, Fraction(0)) + c
             work = work - DifferencePolynomial({m: c}, f.num_vars)
         else:
             g, lm, lc = hit
-            factor = DifferencePolynomial({m / lm: c / lc}, f.num_vars)
+            factor = DifferencePolynomial({oracle_quotient(m, lm): c / lc}, f.num_vars)
             work = work - factor * g
     return DifferencePolynomial(remainder, f.num_vars)
 
@@ -213,9 +242,9 @@ def _oracle_monic(f, order):
 def oracle_s_polynomial(f, g, order):
     mf, cf = order.leading(f)
     mg, cg = order.leading(g)
-    lcm = mf.lcm(mg)
-    uf = DifferencePolynomial({lcm / mf: Fraction(1) / cf}, f.num_vars)
-    ug = DifferencePolynomial({lcm / mg: Fraction(1) / cg}, g.num_vars)
+    lcm = oracle_lcm(mf, mg)
+    uf = DifferencePolynomial({oracle_quotient(lcm, mf): Fraction(1) / cf}, f.num_vars)
+    ug = DifferencePolynomial({oracle_quotient(lcm, mg): Fraction(1) / cg}, g.num_vars)
     return uf * f - ug * g
 
 
@@ -237,9 +266,9 @@ def oracle_buchberger(F, order=LEX) -> list:
     done = set()
 
     def chain_skippable(i, j):
-        lcm = lms[i].lcm(lms[j])
+        lcm = oracle_lcm(lms[i], lms[j])
         for k in range(len(G)):
-            if k in (i, j) or not lms[k].divides(lcm):
+            if k in (i, j) or not oracle_divides(lms[k], lcm):
                 continue
             a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
             if a in done and b in done:
@@ -247,10 +276,10 @@ def oracle_buchberger(F, order=LEX) -> list:
         return False
 
     while pairs:
-        i, j = min(pairs, key=lambda p: (order.key(lms[p[0]].lcm(lms[p[1]])), p))
+        i, j = min(pairs, key=lambda p: (order.key(oracle_lcm(lms[p[0]], lms[p[1]])), p))
         pairs.discard((i, j))
         done.add((i, j))
-        if lms[i].is_coprime(lms[j]) or chain_skippable(i, j):
+        if oracle_coprime(lms[i], lms[j]) or chain_skippable(i, j):
             continue
         r = oracle_reduce(oracle_s_polynomial(G[i], G[j], order), G, order)
         if r.is_zero:
@@ -263,7 +292,7 @@ def oracle_buchberger(F, order=LEX) -> list:
     minimal = [
         G[i]
         for i in range(len(G))
-        if not any(j != i and lms[j].divides(lms[i]) for j in range(len(G)))
+        if not any(j != i and oracle_divides(lms[j], lms[i]) for j in range(len(G)))
     ]
     if any(g.is_constant() for g in minimal):
         return [DifferencePolynomial.constant(1, num_vars)]

@@ -184,6 +184,19 @@ class TestExitCodes:
         code, _, err = run(["sdim", "--monomial", "1", "--imax", "3"])
         assert code == 4
 
+    @pytest.mark.parametrize("cells", ["{(0,3)}", "{(-1,1)}", "{(0,0)}", "{(0,2),(0,3)}"])
+    def test_eliminate_keep_outside_ring(self, cells):
+        # free and solve --set reject the same cells
+        code, out, err = run(["eliminate", "y1 - y2", "s(y1)", "--keep", cells])
+        assert code == 2
+        assert out == ""
+        assert "keep must lie in N x {1..n}" in err
+
+    def test_eliminate_keep_new_cell_inside_ring(self):
+        # a kept cell no generator uses is still a variable of the ring
+        data = run_json(["eliminate", "y1 - y2", "s(y1)", "--keep", "{(0,2),(2,1)}"])
+        assert data["result"]["generators"] == []
+
     @pytest.mark.parametrize("imax", ["1", "-1"])
     def test_monomialize_below_generator_order(self, imax):
         # the window drops y1*s^2(y1) - 1; an empty family would claim the zero ideal
