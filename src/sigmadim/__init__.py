@@ -3,7 +3,9 @@
 Exact values for monomial sigma-ideals and univariate sigma-monomials
 (covering density), convergent upper bounds for general systems
 (truncated Groebner dimension sequences), plus the supporting machinery:
-free-set tests, minimum hitting sets, a coverage automaton with exact
+free-set tests, minimum hitting sets, the column-pick automaton of a
+family (window numbers, and interval transversals tau(E, i) as the window
+numbers of the family {-E}), a coverage automaton with exact
 minimum-mean-cycle search, and a finite-field solution oracle.
 """
 

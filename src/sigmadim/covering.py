@@ -2,16 +2,21 @@
 
 For finite E containing 0, tau(E, i) is the least number of translates of
 E covering {1..i}, and the covering density c(E) = lim tau(E, i)/i.  Both
-are computed exactly: tau by a forward DP over coverage bitmasks, c as the
-minimum mean cycle of the coverage-state automaton, which `meancycle`
-finds by policy iteration and certifies with a witness cycle and an
-integer potential.
+are computed exactly.  tau is a window transversal number: a translate
+at position p covers y iff p lies in y - E, a shift of -E, so tau(E, i)
+is the window number of the one-member family {-E} at order
+i + span - 1, read off the min-plus pass of the family pick automaton
+(`families.window_taus`; span + 1 state bits, capped at STATE_BIT_CAP).
+c is the minimum mean cycle of the coverage-state automaton, which
+`meancycle` finds by policy iteration and certifies with a witness cycle
+and an integer potential.
 
 The automaton state is a (span)-bit mask recording which of the next span
 positions are already covered by translates placed so far.  Scanning one
 position decides whether to place a translate there (weight 1) or not
 (weight 0); the edge exists only if the position scanned ends up covered.
-The edges are built as numpy arrays, two candidate steps per state.
+The edges are built as numpy arrays, two candidate steps per state, for
+spans up to STATE_BIT_CAP.
 Infinite feasible walks are exactly the complements covering a ray, so
 periodic complements correspond to cycles and the optimal density to the
 minimum cycle mean.
@@ -24,7 +29,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .meancycle import INF, CertificateError, Graph, extract_min_mean_cycle, minimum_cycle_mean
+from .families import STATE_BIT_CAP, CapExceededError, SigmaFamily, window_taus
+from .meancycle import CertificateError, Graph, extract_min_mean_cycle, minimum_cycle_mean
 
 
 class IntSet:
@@ -101,40 +107,30 @@ class PeriodicComplement:
 def tau_interval(e: IntSet, i: int) -> int:
     """Least number of translates of E covering {1..i}.
 
-    Translate positions range over [1 - span, i]; positions outside {1..i}
-    carry no coverage requirement."""
+    A set P of translate positions covers y iff it meets y - E, a shift
+    of -E.  Positions range over [1 - span, i]; moved span - 1 columns
+    right they fill the window {0..i + span - 1}, which holds exactly the
+    shifts y - E for y = 1..i, so tau is the window transversal number of
+    the one-member family {-E} at that order."""
     if i < 1:
         raise ValueError("interval length must be >= 1")
-    span = e.span
-    if span == 0:
-        return i  # one point per position
-    nstates = 1 << span
-    states = np.arange(nstates, dtype=np.int64)
-    maskE = e.mask()
-    # skip transition: possible only if bit 0 already covered
-    skip_ok = (states & 1).astype(bool)
-    skip_to = states >> 1
-    # place transition: bit 0 covered because 0 is in E
-    place_to = (states | maskE) >> 1
-    dp = np.full(nstates, INF, dtype=np.int64)
-    dp[0] = 0
-    for p in range(1 - span, i + 1):
-        need_cover = p >= 1
-        nxt = np.full(nstates, INF, dtype=np.int64)
-        if need_cover:
-            ok = skip_ok & (dp < INF)
-        else:
-            ok = dp < INF
-        np.minimum.at(nxt, skip_to[ok], dp[ok])
-        ok = dp < INF
-        np.minimum.at(nxt, place_to[ok], dp[ok] + 1)
-        dp = nxt
-    return int(dp.min())
+    return window_taus(_translates(e), i + e.span - 1)[-1]
+
+
+def _translates(e: IntSet) -> SigmaFamily:
+    """The one-member family {-E} in one variable; its window picks are
+    translate positions of E.  Its pick automaton has span + 1 state
+    bits, so spans from STATE_BIT_CAP on raise CapExceededError."""
+    return SigmaFamily(1, [[(x, 1) for x in reflect(e).elements]])
 
 
 def coverage_graph(e: IntSet) -> Graph:
     """The coverage-state automaton; edge labels are 0/1 placement bits."""
     span = e.span
+    if span > STATE_BIT_CAP:
+        raise CapExceededError(
+            f"coverage automaton needs {span} state bits (span), cap is {STATE_BIT_CAP}"
+        )
     if span == 0:
         return Graph(1, [0], [0], [1], [1])  # must place at every position
     states = np.arange(1 << span, dtype=np.int64)
@@ -155,8 +151,10 @@ def covering_density(e: IntSet, check: bool = False) -> Fraction:
     c = minimum_cycle_mean(coverage_graph(e), source=0)
     if check:
         span = e.span
-        for i in (4 * (span + 1), 16 * (span + 1)):
-            ratio = Fraction(tau_interval(e, i), i)
+        orders = (4 * (span + 1), 16 * (span + 1))
+        taus = window_taus(_translates(e), orders[-1] + span - 1)
+        for i in orders:
+            ratio = Fraction(taus[i + span - 1], i)
             if abs(ratio - c) > Fraction(span + 1, i):
                 raise CertificateError(
                     f"{e}: tau_{i}/{i} = {ratio} is farther than {span + 1}/{i} from {c}"

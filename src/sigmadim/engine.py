@@ -417,14 +417,14 @@ def sigma_dim(
         # interval-transversal identity d_i = i + 1 - tau(-E, i - max(E) + 1)
         m = monomials[0]
         depth = _combinatorial_depth(i_max)
-        value = sigma_dim_univariate_monomial(m, check=check)
         shifts = IntSet(v.shift for v in m.support())
         top = max(v.shift for v in m.support())  # pre-normalization max(E)
         neg = reflect(shifts)
         entries = []
-        for i in range(depth + 1):
+        for i in range(depth + 1):  # before the covering solve: tau has the tighter cap
             d = i + 1 if i < top else i + 1 - tau_interval(neg, i - top + 1)
             entries.append(DimEntry(i, d, True))
+        value = sigma_dim_univariate_monomial(m, check=check)
         if check:
             fam_value = sigma_dim_family(family_from_monomials(monomials, n))
             if fam_value != value:

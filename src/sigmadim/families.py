@@ -156,17 +156,6 @@ def family_from_monomials(monomials: Sequence[SigmaMonomial], n: int) -> SigmaFa
     return SigmaFamily(n, supports)
 
 
-def window_constraints(family: SigmaFamily, i: int) -> list[frozenset[Cell]]:
-    """All shifted members fitting inside the window {0..i} x {1..n}.
-
-    Members of order greater than i contribute nothing (vacuous)."""
-    out = []
-    for s in family.members:
-        for ell in range(i - s.ord + 1):
-            out.append(s.shifted(ell))
-    return out
-
-
 def pick_automaton(family: SigmaFamily) -> np.ndarray:
     """Transfer table of the column-pick automaton.
 
@@ -244,8 +233,13 @@ def window_dim(family: SigmaFamily, i: int) -> int:
 
 
 def is_free(T: Iterable[Cell], family: SigmaFamily) -> bool:
-    """True iff no forward shift of any member is contained in T."""
+    """True iff no forward shift of any member is contained in T.
+
+    ValueError if a cell of T lies outside N x {1..n}."""
     cells = frozenset((int(i), int(j)) for i, j in T)
+    outside = sorted((i, j) for i, j in cells if i < 0 or not 1 <= j <= family.n)
+    if outside:
+        raise ValueError(f"cells must lie in N x {{1..{family.n}}}: {outside}")
     if not cells:
         return True
     top = max(i for i, _ in cells)
@@ -318,7 +312,6 @@ __all__ = [
     "pick_automaton",
     "pick_graph",
     "tau_family",
-    "window_constraints",
     "window_dim",
     "window_taus",
 ]

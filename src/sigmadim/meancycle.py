@@ -25,8 +25,9 @@ it, so the candidate mean decreases strictly until it is certified.
 
 The cycle witness of `extract_min_mean_cycle` is recovered by reweighting
 edges with the certified mean p/q (w' = q*w - p), computing shortest-path
-potentials from the source and walking the tight subgraph: a cycle is
-tight iff its reweighted length is zero iff its mean is optimal.
+potentials from the source with the same Bellman-Ford rounds and walking
+the tight subgraph: a cycle is tight iff its reweighted length is zero
+iff its mean is optimal.
 """
 
 from __future__ import annotations
@@ -342,35 +343,31 @@ def minimum_cycle_mean(g: Graph, source: int = 0) -> Fraction:
     return _solve(sub.num_states, sub.src, sub.dst, sub.weight)
 
 
-def _distances(n: int, source: int, src, dst, rw) -> np.ndarray:
-    """Shortest-path potentials from source under rw by synchronous
-    rounds, stopping at the first round that changes nothing.  Without
-    negative cycles that happens within n rounds."""
-    into = _InEdges(dst, n)
-    s, r = src[into.order], rw[into.order]
-    pot = np.full(n, INF, dtype=np.int64)
-    pot[source] = 0
-    for _ in range(n + 1):
-        reached = pot[s] < INF
-        nxt = into.relaxed(pot, np.where(reached, pot[s] + r, INF))
-        if np.array_equal(nxt, pot):
-            return pot
-        pot = nxt
-    raise CertificateError("the reweighted graph has a negative cycle")
-
-
 def extract_min_mean_cycle(g: Graph, source: int = 0) -> tuple[Fraction, list[object]]:
     """(mean, edge labels around one minimum-mean cycle).
 
     Deterministic: shortest-path potentials from source under q*w - p,
-    then a smallest-index DFS over tight edges."""
-    mean = minimum_cycle_mean(g, source)
-    p, q = mean.numerator, mean.denominator
+    settled by the certificate's Bellman-Ford rounds from 0 at the source
+    and INF elsewhere, then a smallest-index DFS over tight edges.  Every
+    state of the reachable subgraph gets its true distance: values that
+    start from INF stay near INF, far above any path from the source."""
     sub, s = g.restrict_reachable(source)
+    mean = minimum_cycle_mean(sub, s)
+    rw = mean.denominator * sub.weight - mean.numerator  # no negative cycles
+    start = np.full(sub.num_states, INF, dtype=np.int64)
+    start[s] = 0
+    pot, negative = _settle(start, rw, sub.src, sub.dst, _InEdges(sub.dst, sub.num_states))
+    if negative is not None:
+        raise CertificateError(f"the reweighted graph has a negative cycle {negative}")
+    return mean, _tight_cycle(sub, rw, pot, mean)
+
+
+def _tight_cycle(sub: Graph, rw: np.ndarray, pot: np.ndarray, mean: Fraction) -> list[object]:
+    """Labels around the first cycle that a smallest-index DFS meets in
+    the subgraph of tight edges (pot[u] + rw = pot[v]), checked to have
+    mean `mean`."""
     src, dst, wgt = sub.src, sub.dst, sub.weight
-    rw = q * wgt - p  # min cycle mean becomes 0; no negative cycles
-    pot = _distances(sub.num_states, s, src, dst, rw)
-    ks = np.flatnonzero((pot[src] < INF) & (pot[src] + rw == pot[dst]))
+    ks = np.flatnonzero(pot[src] + rw == pot[dst])
     ks = ks[np.lexsort((wgt[ks], dst[ks], src[ks]))]
     tight: dict[int, list[int]] = {}
     for k, u in zip(ks.tolist(), src[ks].tolist()):
@@ -395,7 +392,7 @@ def extract_min_mean_cycle(g: Graph, source: int = 0) -> tuple[Fraction, list[ob
                     cut = entry[v]
                     cycle = (path[cut + 1 :] if cut >= 0 else list(path)) + [k]
                     _check_cycle(cycle, src, dst, wgt, mean)
-                    return mean, sub.label[cycle].tolist()
+                    return sub.label[cycle].tolist()
                 if not color.get(v):
                     color[v] = 1
                     entry[v] = len(path)

@@ -2,15 +2,20 @@
 
 The oracles deliberately avoid the library's own algorithms: hitting sets
 by subset enumeration, interval transversals by combinations over
-placements, free subsets by window enumeration, minimum cycle means by
-Karp's dynamic program (the algorithm the library used before policy
-iteration), the pick automaton on the patterns of the last `width`
-columns (the state space the library used before its transfer table on
-width - 1 columns), Groebner bases by the plain Buchberger loop the
-library used before packed exponents and the pair heap, with divisibility,
-quotients, lcms and coprimality on SigmaMonomials, F_p solution sets
-by evaluating every equation on the whole window grid (the enumeration the
-library used before the cell-by-cell search).
+placements and by a forward DP over coverage bitmasks (the algorithm the
+library used before the window pass of the pick automaton), free subsets
+by window enumeration, window constraints by listing every shifted member,
+minimum cycle means by Karp's dynamic program (the algorithm the library
+used before policy iteration), shortest-path potentials by plain
+synchronous relaxation rounds (the witness potentials the library used
+before the certificate's Bellman-Ford), the pick automaton on the patterns
+of the last `width` columns (the state space the library used before its
+transfer table on width - 1 columns), Groebner bases by the plain
+Buchberger loop the library used before packed exponents and the pair
+heap, with divisibility, quotients, lcms and coprimality on
+SigmaMonomials, F_p solution sets by evaluating every equation on the
+whole window grid (the enumeration the library used before the
+cell-by-cell search).
 """
 
 from __future__ import annotations
@@ -81,6 +86,44 @@ def brute_tau_interval(elements, i: int) -> int:
             if target <= cover:
                 return k
     raise AssertionError("unreachable")
+
+
+def oracle_tau_interval(elements, i: int) -> int:
+    """Least number of translates of E covering {1..i}, by a forward DP
+    over coverage bitmasks: the state is which of the next span positions
+    are covered, and translate positions run over [1 - span, i];
+    positions outside {1..i} carry no coverage requirement."""
+    E = sorted(elements)
+    span = E[-1] - E[0]
+    if span == 0:
+        return i  # one point per position
+    inf = 1 << 60
+    nstates = 1 << span
+    states = np.arange(nstates, dtype=np.int64)
+    skip_ok = (states & 1).astype(bool)  # skip only if bit 0 is covered
+    skip_to = states >> 1
+    place_to = (states | sum(1 << (x - E[0]) for x in E)) >> 1
+    dp = np.full(nstates, inf, dtype=np.int64)
+    dp[0] = 0
+    for p in range(1 - span, i + 1):
+        nxt = np.full(nstates, inf, dtype=np.int64)
+        ok = (skip_ok | (p < 1)) & (dp < inf)
+        np.minimum.at(nxt, skip_to[ok], dp[ok])
+        ok = dp < inf
+        np.minimum.at(nxt, place_to[ok], dp[ok] + 1)
+        dp = nxt
+    return int(dp.min())
+
+
+def window_constraints(family, i: int) -> list:
+    """All shifted members fitting inside the window {0..i} x {1..n}.
+
+    Members of order greater than i contribute nothing (vacuous)."""
+    out = []
+    for s in family.members:
+        for ell in range(i - s.ord + 1):
+            out.append(s.shifted(ell))
+    return out
 
 
 def brute_max_free_size(family, i: int) -> int:
@@ -154,6 +197,25 @@ def karp_min_mean(g, source: int = 0) -> Fraction:
     if not have.any():
         raise ValueError("no cycle reachable from source")
     return min(Fraction(int(best_num[v]), int(best_den[v])) for v in range(n) if have[v])
+
+
+def oracle_distances(n: int, source: int, src, dst, rw) -> np.ndarray:
+    """Shortest-path potentials from source under the integer weights rw,
+    by synchronous relaxation rounds that stop at the first round changing
+    nothing; INF (1 << 60) marks unreached states.  Raises ValueError if
+    n + 1 rounds do not settle (a negative cycle is reachable)."""
+    inf = 1 << 60
+    src, dst, rw = (np.asarray(a, dtype=np.int64) for a in (src, dst, rw))
+    pot = np.full(n, inf, dtype=np.int64)
+    pot[source] = 0
+    for _ in range(n + 1):
+        nxt = pot.copy()
+        ok = pot[src] < inf
+        np.minimum.at(nxt, dst[ok], pot[src[ok]] + rw[ok])
+        if np.array_equal(nxt, pot):
+            return pot
+        pot = nxt
+    raise ValueError("the reweighted graph has a negative cycle")
 
 
 def oracle_pick_graph(family):

@@ -180,6 +180,33 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cover", "0,40"],
+            ["tau", "0,40", "--order", "3"],
+            ["tau", "0,20", "--order", "20"],
+            ["sdim", "--monomial", "y1*s^20(y1)", "--imax", "21"],
+        ],
+    )
+    def test_span_beyond_the_automaton_cap(self, argv):
+        code, out, err = run(argv)
+        assert code == 3
+        assert out == ""
+        assert "cap is 20" in err
+
+    @pytest.mark.parametrize(
+        "members, cells",
+        [("{(0,1),(1,1)}", "{(-1,1)}"), ("{(0,1),(1,1)}", "{(0,3)}"), ("{(0,1),(0,2)}", "{(1,3)}")],
+    )
+    def test_free_family_cells_outside_the_ring(self, members, cells, tmp_path):
+        fam = tmp_path / "family.txt"
+        fam.write_text(members + "\n")
+        code, out, err = run(["free", "--family", str(fam), "--set", cells])
+        assert code == 2
+        assert out == ""
+        assert "cells must lie in N x" in err
+
     def test_unit_ideal(self):
         code, _, err = run(["sdim", "--monomial", "1", "--imax", "3"])
         assert code == 4

@@ -19,7 +19,7 @@ from sigmadim import (
     reflect,
     tau_interval,
 )
-from conftest import brute_tau_interval
+from conftest import brute_tau_interval, oracle_tau_interval
 
 
 class TestIntSet:
@@ -52,6 +52,14 @@ class TestTauInterval:
             e = IntSet(elems)
             assert tau_interval(e, i) == brute_tau_interval(e.elements, i)
 
+    def test_matches_the_coverage_mask_dp(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            span = rng.randint(0, 12)
+            e = IntSet({0, span} | {rng.randint(0, span) for _ in range(rng.randint(0, 5))})
+            i = rng.randint(1, 60)
+            assert tau_interval(e, i) == oracle_tau_interval(e.elements, i), (e, i)
+
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             tau_interval(IntSet([0]), 0)
@@ -73,7 +81,7 @@ class TestCoveringDensity:
         assert covering_density(IntSet([0, 2, 3]), check=True) == Fraction(2, 5)
 
     def test_farey_pinning_small_spans(self):
-        # trusts only the tau DP (itself checked against exhaustive search)
+        # trusts only tau_interval (itself checked against exhaustive search)
         for span in range(1, 4):
             for bits in range(1 << (span - 1)) if span > 1 else [0]:
                 elems = {0, span} | {b + 1 for b in range(span - 1) if bits >> b & 1}
@@ -160,3 +168,13 @@ def test_coverage_graph_edges_match_a_loop():
         g = coverage_graph(e)
         got = list(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist(), g.label.tolist()))
         assert got == want, e
+
+
+def test_coverage_graph_cap():
+    from sigmadim.covering import coverage_graph
+    from sigmadim.families import STATE_BIT_CAP, CapExceededError
+
+    with pytest.raises(CapExceededError):
+        coverage_graph(IntSet([0, STATE_BIT_CAP + 1]))
+    with pytest.raises(CapExceededError):
+        tau_interval(IntSet([0, STATE_BIT_CAP]), 1)

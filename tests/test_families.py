@@ -23,9 +23,15 @@ from sigmadim import (
     window_dim,
     window_taus,
 )
-from sigmadim.families import STATE_BIT_CAP, window_constraints
+from sigmadim.families import STATE_BIT_CAP
 from sigmadim.transversal import minimum_hitting_set_size
-from conftest import brute_max_free_size, brute_min_hitting_set_size, mono, oracle_pick_graph
+from conftest import (
+    brute_max_free_size,
+    brute_min_hitting_set_size,
+    mono,
+    oracle_pick_graph,
+    window_constraints,
+)
 
 YS = SigmaFamily(1, [[(0, 1), (1, 1)]])  # the y*s(y) family
 
@@ -86,8 +92,6 @@ class TestTau:
         for _ in range(25):
             fam = random_family(rng)
             i = rng.randint(0, 4)
-            from sigmadim.families import STATE_BIT_CAP, window_constraints
-
             assert tau_family(fam, i) == (
                 brute_min_hitting_set_size(window_constraints(fam, i)) or 0
             )
@@ -192,8 +196,6 @@ class TestWindowDim:
     def test_complementarity_twenty_cells(self):
         import numpy as np
 
-        from sigmadim.families import STATE_BIT_CAP, window_constraints
-
         for fam, i in [(YS, 19), (SigmaFamily(2, [[(0, 1), (0, 2)]]), 9)]:
             cells = [(a, j) for a in range(i + 1) for j in range(1, fam.n + 1)]
             assert len(cells) == 20
@@ -226,6 +228,11 @@ class TestIsFree:
         fam = SigmaFamily(1, [[(0, 1), (2, 1)]])
         assert not is_free([(5, 1), (7, 1)], fam)
         assert is_free([(5, 1), (6, 1)], fam)
+
+    @pytest.mark.parametrize("cells", [[(-1, 1)], [(0, 0)], [(0, 2)], [(0, 1), (3, 2)]])
+    def test_cells_outside_the_ring_rejected(self, cells):
+        with pytest.raises(ValueError, match="N x"):
+            is_free(cells, YS)
 
 
 class TestMaxFreeSubset:

@@ -14,7 +14,7 @@ import pytest
 
 import sigmadim
 import sigmadim.meancycle as meancycle
-from conftest import karp_min_mean, oracle_pick_graph
+from conftest import karp_min_mean, oracle_distances, oracle_pick_graph
 from sigmadim import CertificateError, SigmaFamily
 from sigmadim.covering import IntSet, coverage_graph
 from sigmadim.families import pick_graph
@@ -230,6 +230,31 @@ def test_coverage_graphs_match_karp():
         e = IntSet({0, span} | {rng.randint(0, span) for _ in range(rng.randint(0, 4))})
         g = coverage_graph(e)
         assert minimum_cycle_mean(g) == karp_min_mean(g), e
+
+
+def oracle_extract(g: Graph, source: int = 0):
+    """extract_min_mean_cycle with its potentials from plain relaxation
+    rounds instead of the certificate's Bellman-Ford."""
+    sub, s = g.restrict_reachable(source)
+    mean = minimum_cycle_mean(g, source)
+    rw = mean.denominator * sub.weight - mean.numerator
+    pot = oracle_distances(sub.num_states, s, sub.src, sub.dst, rw)
+    return mean, meancycle._tight_cycle(sub, rw, pot, mean)
+
+
+def test_witnesses_match_plain_relaxation_potentials():
+    rng = random.Random(59)
+    graphs = []
+    for feature in ("dead_ends", "unreachable_cheaper", "zero_weight"):
+        for _ in range(40):
+            g = random_graph(rng, feature)  # labels become edge indices
+            graphs.append(Graph(g.num_states, g.src, g.dst, g.weight, np.arange(len(g.src))))
+    for _ in range(40):
+        span = rng.randint(0, 10)
+        graphs.append(coverage_graph(IntSet({0, span} | {rng.randint(0, span) for _ in range(3)})))
+    graphs += [pick_graph(random_pick_family(rng, 10)) for _ in range(40)]
+    for g in graphs:
+        assert extract_min_mean_cycle(g) == oracle_extract(g), (g.src, g.dst, g.weight)
 
 
 def tie_graph() -> Graph:
