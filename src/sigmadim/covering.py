@@ -6,7 +6,8 @@ are computed exactly.  tau is a window transversal number: a translate
 at position p covers y iff p lies in y - E, a shift of -E, so tau(E, i)
 is the window number of the one-member family {-E} at order
 i + span - 1, read off the min-plus pass of the family pick automaton
-(`families.window_taus`; span + 1 state bits, capped at STATE_BIT_CAP).
+(`families.iter_window_taus`; span + 1 state bits, capped at
+STATE_BIT_CAP).
 c is the minimum mean cycle of the coverage-state automaton, which
 `meancycle` finds by policy iteration and certifies with a witness cycle
 and an integer potential.
@@ -29,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .families import STATE_BIT_CAP, CapExceededError, SigmaFamily, window_taus
+from .families import STATE_BIT_CAP, CapExceededError, SigmaFamily, tau_family, window_taus
 from .meancycle import CertificateError, Graph, extract_min_mean_cycle, minimum_cycle_mean
 
 
@@ -114,7 +115,7 @@ def tau_interval(e: IntSet, i: int) -> int:
     the one-member family {-E} at that order."""
     if i < 1:
         raise ValueError("interval length must be >= 1")
-    return window_taus(_translates(e), i + e.span - 1)[-1]
+    return tau_family(_translates(e), i + e.span - 1)
 
 
 def _translates(e: IntSet) -> SigmaFamily:

@@ -15,7 +15,8 @@ set.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -195,9 +196,9 @@ def pick_graph(family: SigmaFamily) -> Graph:
     return Graph(len(step), src, dst, step[src, pick], pick)
 
 
-def window_taus(family: SigmaFamily, i_max: int) -> list[int]:
-    """tau(family, i) for i = 0..i_max in one min-plus pass over the pick
-    automaton.
+def iter_window_taus(family: SigmaFamily, i_max: int) -> Iterator[int]:
+    """tau(family, i) for i = 0..i_max, yielded in one min-plus pass over
+    the pick automaton.
 
     The pass starts in the all-picked state, which makes every member
     longer than the columns appended so far vacuous; each appended column
@@ -205,18 +206,22 @@ def window_taus(family: SigmaFamily, i_max: int) -> list[int]:
     shifted member inside the window is checked exactly once.  After i+1
     columns the minimum over states is tau(family, i)."""
     if not family.members:
-        return [0] * (i_max + 1)
+        yield from repeat(0, i_max + 1)
+        return
     step = pick_automaton(family)
     dp = np.full(len(step), INF, dtype=np.int64)
     dp[-1] = 0
-    taus = []
     for _ in range(i_max + 1):
         # entry k = (r << n) | p of the table lands in state k mod len(dp),
         # so column t of the reshaped sums holds the steps into state t;
         # `initial` caps blocked sums at INF, so they cannot overflow
         dp = (dp[:, None] + step).reshape(-1, len(dp)).min(axis=0, initial=INF)
-        taus.append(int(dp.min()))
-    return taus
+        yield int(dp.min())
+
+
+def window_taus(family: SigmaFamily, i_max: int) -> list[int]:
+    """tau(family, i) for i = 0..i_max (`iter_window_taus`)."""
+    return list(iter_window_taus(family, i_max))
 
 
 def tau_family(family: SigmaFamily, i: int) -> int:
@@ -224,7 +229,9 @@ def tau_family(family: SigmaFamily, i: int) -> int:
     order-i window."""
     if i < 0:
         raise ValueError("window order must be >= 0")
-    return window_taus(family, i)[i]
+    for tau in iter_window_taus(family, i):  # only the running value is kept
+        pass
+    return tau
 
 
 def window_dim(family: SigmaFamily, i: int) -> int:
@@ -307,6 +314,7 @@ __all__ = [
     "UnitIdealError",
     "family_from_monomials",
     "is_free",
+    "iter_window_taus",
     "max_free_subset",
     "monomial_krull_dim",
     "pick_automaton",

@@ -20,18 +20,41 @@ int comparison, a product is an addition, and divisibility, lcm and
 coprimality take a subtraction and a mask over the guard bits.  Every
 product is checked for a field that overflowed into its guard bit; an
 overflow restarts the run with twice the bits, so exponents are unbounded.
-Coefficients are ints, S-pairs wait in a heap ordered by lcm, and the
-Gebauer-Moeller criteria prune them (Gebauer & Moeller 1988, *On an
-installation of Buchberger's algorithm*).  Only the final reduced basis is
-made monic; its leading monomials are unpacked for dimensions, and its
-tails only on the first read of its generators.
+Coefficients are ints.
+
+The basis is built by a signature-based Buchberger (Faugere 2002, *A new
+efficient algorithm for computing Groebner bases without reduction to
+zero (F5)*; the criteria as surveyed by Eder & Faugere 2017, *A survey on
+signature-based algorithms for computing Groebner bases*).  The inputs
+are indexed in increasing order of their leading monomials and join one
+at a time.  An element computed while input i joins has the signature
+(i, t), position over term: t * f_i plus an element of the earlier
+inputs' ideal reduces to it, and t is packed like a monomial, so a
+product that overflows restarts the run too.  S-pairs are popped in
+increasing signature order and reduced only by reducers q * g of smaller
+signature, so a result keeps its pair's signature.  A pair is dropped
+when a syzygy signature divides its signature (the F5 criterion: a
+leading monomial of the earlier inputs' basis; or the signature of an
+earlier zero reduction), when its leading monomials are coprime (Koszul),
+when its two multiplied signatures are equal, or when its signature
+repeats the one just reduced; a result that some q * g matches in
+leading monomial and signature is discarded.  Faugere's theorem (no
+zero reduction on a homogeneous regular sequence) does not cover these
+affine lex inputs, but on the coupled system's truncation windows 0-6
+no S-pair reduces to zero; where the inputs are not regular, some do.
+
+The elements form a Groebner basis; the ones with minimal leading
+monomials are interreduced into the reduced basis, which is unique for
+the order, so the output is the same as from any other Buchberger.  Only
+that basis is made monic; its leading monomials are unpacked for
+dimensions, and its tails only on the first read of its generators.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm as int_lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -253,7 +276,14 @@ def _primitive(p: dict) -> tuple[int, int, dict]:
     return lm, p.pop(lm), p
 
 
-def _normal_form(p: dict, divisors: Sequence[tuple[int, int, dict]], guard: int) -> tuple[dict, int]:
+def _normal_form(
+    p: dict,
+    divisors: Sequence[tuple[int, int, dict]],
+    guard: int,
+    signed: Sequence[tuple[int, int, dict, int]] = (),
+    sig: int = 0,
+    top: bool = False,
+) -> tuple[dict, int]:
     """Full normal form of the int polynomial p (consumed) modulo the
     primitive divisors (lm, lc, tail), without division: (r, scale) with
     scale > 0 and scale * p congruent to r.
@@ -266,7 +296,16 @@ def _normal_form(p: dict, divisors: Sequence[tuple[int, int, dict]], guard: int)
     reduction by monic divisors would pick.  The terms of p wait in a
     heap keyed by -m, so the leading term is a pop; an entry whose term
     has cancelled since is skipped.  Raises _Overflow when a product
-    outgrows its fields."""
+    outgrows its fields.
+
+    `signed` holds further divisors (lm, lc, tail, t) of p's signature
+    index, t the term of their signature, tried after `divisors` and only
+    where q * t < sig: a regular reduction, which keeps the signature of
+    p.  q * t is compared unchecked: each field of q and of t is below
+    2^bits, so each field of the sum fits its field and guard bit, and
+    the comparison of the ints stays the lex comparison.  With `top` the
+    reduction stops at the first term no divisor reduces: the remainder
+    is that term and the unreduced rest."""
     remainder = {}
     scale = 1
     heap = [-m for m in p]
@@ -279,32 +318,40 @@ def _normal_form(p: dict, divisors: Sequence[tuple[int, int, dict]], guard: int)
         mg = m | guard
         for lm, lc, tail in divisors:
             if (mg - lm) & guard == guard:  # _divides(lm, m, guard), inlined
-                if lc != 1:
-                    g = gcd(c, lc)
-                    if g != lc:
-                        a = lc // g
-                        scale *= a
-                        p = {t: v * a for t, v in p.items()}
-                        remainder = {t: v * a for t, v in remainder.items()}
-                    c //= g
-                q = m - lm
-                for t, ct in tail.items():
-                    mt = q + t
-                    if mt & guard:
-                        raise _Overflow
-                    v = p.get(mt)
-                    if v is None:
-                        heapq.heappush(heap, -mt)
-                        p[mt] = -c * ct
-                    else:
-                        v -= c * ct
-                        if v:
-                            p[mt] = v
-                        else:
-                            del p[mt]
                 break
         else:
-            remainder[m] = c
+            for lm, lc, tail, t in signed:
+                if (mg - lm) & guard == guard and m - lm + t < sig:
+                    break
+            else:
+                remainder[m] = c
+                if top:
+                    remainder.update(p)
+                    break
+                continue
+        if lc != 1:
+            g = gcd(c, lc)
+            if g != lc:
+                a = lc // g
+                scale *= a
+                p = {t: v * a for t, v in p.items()}
+                remainder = {t: v * a for t, v in remainder.items()}
+            c //= g
+        q = m - lm
+        for t, ct in tail.items():
+            mt = q + t
+            if mt & guard:
+                raise _Overflow
+            v = p.get(mt)
+            if v is None:
+                heapq.heappush(heap, -mt)
+                p[mt] = -c * ct
+            else:
+                v -= c * ct
+                if v:
+                    p[mt] = v
+                else:
+                    del p[mt]
     return remainder, scale
 
 
@@ -330,98 +377,155 @@ def reduce(
     return _unpack({m: Fraction(c, den) for m, c in r.items()}, ring, bits, f.num_vars)
 
 
+def _s_polynomial(a: tuple, b: tuple, lcm: int, guard: int) -> dict:
+    """S(a, b) = (lc_b/g) * qa * tail_a - (lc_a/g) * qb * tail_b for the
+    primitive elements a and b (lm, lc, tail, ...), g = gcd(lc_a, lc_b)
+    and q = lcm/lm on each side: the leading terms cancel."""
+    lm_a, lc_a, tail_a = a[:3]
+    lm_b, lc_b, tail_b = b[:3]
+    g = gcd(lc_a, lc_b)
+    fa, fb = lc_b // g, lc_a // g
+    qa = lcm - lm_a
+    qb = lcm - lm_b
+    s = {}
+    for t, c in tail_a.items():
+        mt = qa + t
+        if mt & guard:
+            raise _Overflow
+        s[mt] = fa * c
+    for t, c in tail_b.items():
+        mt = qb + t
+        if mt & guard:
+            raise _Overflow
+        v = s.get(mt, 0) - fb * c
+        if v:
+            s[mt] = v
+        else:
+            del s[mt]
+    return s
+
+
+def _extend(
+    lower: list[tuple[int, int, dict]],
+    reducers: list[tuple[int, int, dict]],
+    f: dict,
+    guard: int,
+    bits: int,
+) -> list[tuple[int, int, dict, int]] | None:
+    """The elements one signature-based pass adds to the earlier inputs'
+    elements so that, with them, they form a Groebner basis of the ideal
+    with the input f; None if a constant turns up (unit ideal).  `lower`
+    is a Groebner basis of the earlier inputs and `reducers` holds it and
+    any further elements of their ideal.
+
+    A new element is (lm, lc, tail, t): its signature is the term t, for
+    t * f plus an element of the earlier ideal reduces to it; f's index
+    lies above every earlier input's, so a lower element's signature is
+    below every new one and every reducer qualifies.  Pairs are popped in
+    increasing signature order, a pair's signature being the larger of
+    its two multiplied signatures.  A pair is dropped when
+      - a syzygy signature divides its signature: the leading monomial of
+        a lower element (the F5 criterion), or the signature of an earlier
+        zero reduction;
+      - its leading monomials are coprime: its signature is then that of
+        the Koszul syzygy of its two elements;
+      - its two multiplied signatures are equal;
+      - its signature is the one just reduced: with every smaller
+        signature done, regular reductions of two polynomials of equal
+        signature reach the same leading monomial (their difference
+        reduces to zero), so a repeat reduces to zero or to a singular
+        top-reducible result.
+    An S-polynomial is top-reduced regularly (`_normal_form` with signed
+    divisors).  A zero result records a syzygy signature; a result that
+    some q * g matches in both leading monomial and signature (singular
+    top-reducible) is discarded; the rest are fully reduced and join.
+    Reducers are tried earlier ones first, each group shortest tail
+    first."""
+    syzygies = [lm for lm, _, _ in lower]
+    reducers = sorted(reducers, key=lambda g: len(g[2]))
+    new: list[tuple[int, int, dict, int]] = []  # in signature order
+    signed: list[tuple[int, int, dict, int]] = []  # new, shortest tail first
+    pairs: list[tuple[int, int, int]] = []  # (signature, owner, other): ~j is lower[j]
+    p, sig = f, 0
+    while True:
+        r = _normal_form(p, reducers, guard, signed, sig, top=True)[0]
+        lm = max(r, default=None)
+        if lm is None:
+            syzygies.append(sig)
+        elif not any(_divides(hlm, lm, guard) and lm - hlm + ht == sig for hlm, _, _, ht in new):
+            c = r.pop(lm)
+            r, scale = _normal_form(r, reducers, guard, signed, sig)
+            r[lm] = c * scale
+            lm, lc, tail = _primitive(r)
+            if not lm:
+                return None
+            k = len(new)
+            fresh = []
+            for j, (glm, _, _) in enumerate(lower):
+                lcm = _lcm(lm, glm, guard, bits)
+                if lcm != lm + glm:
+                    fresh.append((lcm - lm + sig, k, ~j))
+            for j, (hlm, _, _, ht) in enumerate(new):
+                lcm = _lcm(lm, hlm, guard, bits)
+                mine, theirs = lcm - lm + sig, lcm - hlm + ht
+                if mine != theirs and lcm != lm + hlm:
+                    fresh.append((mine, k, j) if mine > theirs else (theirs, j, k))
+            for pair in fresh:
+                if pair[0] & guard:
+                    raise _Overflow
+                if not _divisible(pair[0], syzygies, guard):
+                    heapq.heappush(pairs, pair)
+            new.append((lm, lc, tail, sig))
+            bisect.insort(signed, new[-1], key=lambda g: len(g[2]))
+        done = sig
+        while pairs:
+            sig, a, b = heapq.heappop(pairs)
+            if sig != done and not _divisible(sig, syzygies, guard):
+                break
+        else:
+            return new
+        owner, other = new[a], (lower[~b] if b < 0 else new[b])
+        p = _s_polynomial(owner, other, _lcm(owner[0], other[0], guard, bits), guard)
+
+
+def _divisible(m: int, divisors: list[int], guard: int) -> bool:
+    """Some monomial of `divisors` divides m."""
+    mg = m | guard
+    return any((mg - d) & guard == guard for d in divisors)
+
+
 def _reduced_basis(polys: list[dict], guard: int, bits: int) -> list[tuple[int, int, dict]] | None:
     """Reduced Groebner basis of int polynomials as (lm, den, tail)
     triples sorted by leading monomial, the monic element being
     lm + tail/den; None for the unit ideal.  Raises _Overflow when a
     product outgrows its fields.
 
-    Pairs wait in a heap keyed by the lcm of their leading monomials (the
-    normal strategy); the Gebauer-Moeller update applies the product and
-    chain criteria when a polynomial joins, so no pair is rescanned."""
-    lms: list[int] = []
-    lcs: list[int] = []
-    tails: list[dict] = []
-    active: list[int] = []  # indices whose lm no later lm divides
-    heap: list[tuple[int, int, int]] = []
-
-    def join(p: dict) -> bool:
-        """Add a nonzero normal form; False if it is a constant."""
-        lm, lc, tail = _primitive(p)
-        if not lm:
-            return False
-        k = len(lms)
-        lms.append(lm)
-        lcs.append(lc)
-        tails.append(tail)
-        # new pairs: keep one pair per minimal lcm, then drop coprime ones
-        # (lcm == lm + other exactly when the two are coprime)
-        fresh = [(_lcm(lm, lms[g], guard, bits), g) for g in active]
-        kept = []
-        while fresh:
-            lcm, g = fresh.pop()
-            if lcm == lm + lms[g] or not any(
-                _divides(other, lcm, guard) for other, _ in chain(fresh, kept)
-            ):
-                kept.append((lcm, g))
-        # drop old pairs (a, b) the new lm makes redundant: it divides their
-        # lcm, and lcm(a, new) and lcm(b, new) both differ from that lcm
-        old = [
-            (lcm, a, b)
-            for lcm, a, b in heap
-            if not (
-                _divides(lm, lcm, guard)
-                and _lcm(lms[a], lm, guard, bits) != lcm
-                and _lcm(lms[b], lm, guard, bits) != lcm
-            )
+    The inputs join in increasing order of their leading monomials, one
+    signature-based pass (`_extend`) each.  No two elements share a
+    leading monomial: the one of smaller signature would have reduced the
+    other.  After a pass the elements whose leading monomial no other
+    divides form the Groebner basis the next pass pairs with; every
+    element stays a reducer.  The last basis is interreduced."""
+    elements: list[tuple[int, int, dict]] = []
+    basis: list[tuple[int, int, dict]] = []
+    for f in sorted(polys, key=max):
+        new = _extend(basis, elements, f, guard, bits)
+        if new is None:
+            return None
+        new = [(lm, lc, tail) for lm, lc, tail, _ in new]
+        elements += new
+        # a new leading monomial is divisible by no lower one
+        basis = [
+            g
+            for g in basis + new
+            if not any(h is not g and _divides(h[0], g[0], guard) for h in new)
         ]
-        if len(old) < len(heap):
-            heap[:] = old
-            heapq.heapify(heap)
-        for lcm, g in kept:
-            if lcm != lm + lms[g]:
-                heapq.heappush(heap, (lcm, g, k))
-        active[:] = [g for g in active if not _divides(lm, lms[g], guard)] + [k]
-        return True
-
-    def divisors():
-        return [(lms[g], lcs[g], tails[g]) for g in active]
-
-    for p in sorted(polys, key=max):
-        r = _normal_form(p, divisors(), guard)[0]
-        if r and not join(r):
-            return None
-    while heap:
-        lcm, a, b = heapq.heappop(heap)
-        # S(a, b) = (lc_b/g) * qa * tail_a - (lc_a/g) * qb * tail_b
-        g = gcd(lcs[a], lcs[b])
-        fa, fb = lcs[b] // g, lcs[a] // g
-        qa = lcm - lms[a]
-        qb = lcm - lms[b]
-        s = {}
-        for t, c in tails[a].items():
-            mt = qa + t
-            if mt & guard:
-                raise _Overflow
-            s[mt] = fa * c
-        for t, c in tails[b].items():
-            mt = qb + t
-            if mt & guard:
-                raise _Overflow
-            v = s.get(mt, 0) - fb * c
-            if v:
-                s[mt] = v
-            else:
-                del s[mt]
-        r = _normal_form(s, divisors(), guard)[0]
-        if r and not join(r):
-            return None
-    basis = []
-    for g in sorted(active, key=lms.__getitem__):
-        others = [(lms[h], lcs[h], tails[h]) for h in active if h != g]
-        tail, scale = _normal_form(dict(tails[g]), others, guard)
-        basis.append((lms[g], lcs[g] * scale, tail))
-    return basis
+    out = []
+    for g in sorted(basis, key=lambda g: g[0]):
+        others = [h for h in basis if h is not g]
+        tail, scale = _normal_form(dict(g[2]), others, guard)
+        out.append((g[0], g[1] * scale, tail))
+    return out
 
 
 def buchberger(

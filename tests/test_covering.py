@@ -8,6 +8,7 @@ span <= 3.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,18 @@ class TestTauInterval:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             tau_interval(IntSet([0]), 0)
+
+    def test_long_interval_keeps_only_the_running_value(self):
+        # a list of every window number would hold 50,004 ints (~1.8 MB)
+        e = IntSet([0, 1, 5])
+        tracemalloc.start()
+        try:
+            got = tau_interval(e, 50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000, peak
+        assert got == oracle_tau_interval(e.elements, 50_000)
 
 
 class TestCoveringDensity:

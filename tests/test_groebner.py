@@ -22,9 +22,10 @@ from sigmadim import (
     monomial_krull_dim,
     reduce,
 )
+from sigmadim import groebner
 from sigmadim.engine import truncation_generators
 from sigmadim.groebner import basis_dimension
-from conftest import mono, oracle_buchberger, oracle_reduce, oracle_s_polynomial, poly
+from conftest import mono, oracle_buchberger, oracle_reduce, oracle_s_polynomial, poly, random_system
 
 
 class TestOrder:
@@ -239,6 +240,16 @@ def test_matches_sympy_on_random_systems():
         checked += 1
 
 
+def test_matches_sympy_f5b_on_coupled_window_5():
+    # 25 generators, deeper than any basis the oracle loop reaches
+    F = [poly("s(y1)*y2 - y1 - 1", 2), poly("s(y2) - y1*y2", 2)]
+    gens_list = truncation_generators(F, 5)
+    exprs, gens = _to_sympy(gens_list)
+    expected = sympy.groebner(exprs, *gens, order="lex", method="f5b").exprs
+    ours_exprs, _ = _to_sympy(list(buchberger(gens_list)))
+    assert _monic_strings(ours_exprs, gens) == _monic_strings(list(expected), gens)
+
+
 def test_matches_sympy_on_intro_truncation():
     F = [poly("y1*s(y1)", 2), poly("y1*y2 - y2*s(y2)", 2)]
     gens_list = truncation_generators(F, 4)
@@ -288,6 +299,21 @@ def test_matches_oracle_on_random_systems_lex():
     for _ in range(120):
         F = _degree_two_system(rng)
         assert list(buchberger(F).generators) == oracle_buchberger(F), F
+
+
+def test_matches_oracle_on_random_system_draws():
+    # two draws per system (two to four generators of degree <= 3): enough
+    # S-pairs per pass that a reduction by an element of equal or larger
+    # signature, or an add-order rewrite criterion, loses a generator
+    rng = random.Random(32)
+    for _ in range(500):
+        n, order = rng.randint(1, 3), rng.randint(0, 2)
+        F = random_system(rng, n, order, 3) + random_system(rng, n, order, 3)
+        assert list(buchberger(F).generators) == oracle_buchberger(F), F
+        variables = sorted(frozenset().union(*(f.support_vars() for f in F)))
+        if len(variables) > 1:
+            elim = elimination_order(rng.sample(variables, rng.randint(1, len(variables) - 1)))
+            assert list(buchberger(F, variables, elim).generators) == oracle_buchberger(F, elim), F
 
 
 def test_matches_oracle_on_random_systems_elimination_order():
@@ -414,11 +440,36 @@ def test_packed_dimension_matches_generators(texts, depth):
 
 
 def test_matches_oracle_where_gebauer_moeller_strictness_matters():
-    # dropping every old pair whose lcm the new leading monomial divides,
-    # without requiring both new lcms to differ from it, loses a generator
+    # under the Gebauer-Moeller update the kernel used before, dropping
+    # every old pair whose lcm the new leading monomial divides, without
+    # requiring both new lcms to differ from it, lost a generator here
     F = [
         poly("-2*s^2(y1)*s^2(y2) + 2*s(y1)*s^2(y2) - 3*s^2(y1)", 2),
         poly("2*s^2(y1)*s^2(y2) - s(y2)^2 + 2*y1*s(y2) + 2", 2),
         poly("3*y2*s^2(y2) + 2*y1*s(y2) + 3*s(y1)", 2),
     ]
     assert list(buchberger(F).generators) == oracle_buchberger(F)
+
+
+def test_no_zero_reductions_on_coupled_windows(monkeypatch):
+    # the truncation generators of the coupled system form a regular
+    # sequence, on which the signature criteria leave no S-pair that
+    # reduces to zero; every pair and input is top-reduced (top=True) first
+    reductions = []
+    normal_form = groebner._normal_form
+
+    def counted(*args, **kwargs):
+        out = normal_form(*args, **kwargs)
+        if kwargs.get("top"):
+            reductions.append(bool(out[0]))
+        return out
+
+    monkeypatch.setattr(groebner, "_normal_form", counted)
+    texts, _ = TRUNCATION_SYSTEMS[0]
+    F = [poly(t, 2) for t in texts]
+    for i in range(6):
+        reductions.clear()
+        gens = truncation_generators(F, i)
+        buchberger(gens, [(a, j) for a in range(i + 1) for j in (1, 2)])
+        assert all(reductions), (i, reductions.count(False), len(reductions))
+    assert len(reductions) > 2 * len(gens)  # window 5 reduces pairs, not only inputs
