@@ -3,7 +3,8 @@
 Exact values:
   * univariate sigma-monomials, via covering density (1 - c(E));
   * squarefree monomial sigma-ideals given as families, via the minimum
-    mean cycle of the column-pick automaton (`families.pick_graph`).
+    mean cycle of the column-pick automaton, solved on its quotient by
+    pending members (`families.pending_graph`).
 
 Convergent upper bounds for general systems, via Krull dimensions of
 shift-generated truncations (the d-hat sequence); the bound is sound
@@ -28,7 +29,7 @@ from .families import (
     SigmaFamily,
     UnitIdealError,
     family_from_monomials,
-    pick_graph,
+    pending_graph,
     window_taus,
 )
 from .groebner import LEX, GroebnerBasis, basis_dimension, buchberger, eliminate, leading_monomial_ideal
@@ -148,7 +149,7 @@ def sigma_dim_family(family: SigmaFamily, check: bool = False) -> Fraction:
     member, and finite window transversal ratios never exceed C."""
     if not family.members:
         return Fraction(family.n)
-    graph = pick_graph(family)
+    graph = pending_graph(family)
     if not check:
         return family.n - minimum_cycle_mean(graph, source=0)
     c, picks = extract_min_mean_cycle(graph, source=0)

@@ -5,12 +5,22 @@ A squarefree sigma-monomial corresponds to a non-empty finite set of cells
 monomial sigma-ideal generated by all forward shifts of its members.  This
 module owns the column-pick automaton: one transfer table over the pick
 patterns of the last width - 1 columns (`pick_automaton`, capped at
-STATE_BIT_CAP bits of n * width), read as a graph for the cycle-mean solve
-(`pick_graph`) and by finite-horizon min-plus passes for window
-transversal numbers, window dimensions and lexicographically least
-maximum free subsets.  It also tests free sets directly and computes the
-Krull dimension of ordinary monomial ideals by an exact minimum hitting
-set.
+STATE_BIT_CAP bits of n * width), read by finite-horizon min-plus passes
+for window transversal numbers, window dimensions and lexicographically
+least maximum free subsets.  It also tests free sets directly and computes
+the Krull dimension of ordinary monomial ideals by an exact minimum
+hitting set.
+
+The cycle-mean solve reads the table through its quotient by pending
+members (`pending_graph`).  A translate of a member is pending in a state
+when its last cell lies in a later column and no picked cell of the
+state hits it; the state's key packs one pending bit per such translate.
+States with equal keys have equal rows and successors in equal classes,
+since blocking and the next key depend only on the pending translates
+and the new column: the key is a congruence, and the quotient keeps every
+cycle and its mean.  The all-picked state has key 0 and is the source,
+class 0; every cycle is reachable from it, because picking a whole column
+is never blocked and the all-picked history admits every continuation.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .meancycle import INF, Graph
+from .meancycle import INF, CertificateError, Graph
 from .polynomials import SigmaMonomial
 from .transversal import minimum_hitting_set_size
 
@@ -100,7 +110,7 @@ class SigmaFamily:
     nothing new and is dropped.  Dropping such supersets leaves every
     window transversal number unchanged."""
 
-    __slots__ = ("n", "members")
+    __slots__ = ("n", "members", "_pick_table")
 
     def __init__(self, n: int, members: Iterable[SupportSet | Iterable[Cell]]):
         if n < 1:
@@ -117,6 +127,7 @@ class SigmaFamily:
         self.members: tuple[SupportSet, ...] = tuple(
             sorted(kept, key=lambda s: s.sorted_cells())
         )
+        self._pick_table: np.ndarray | None = None  # filled by pick_automaton
 
     @property
     def width(self) -> int:
@@ -157,6 +168,12 @@ def family_from_monomials(monomials: Sequence[SigmaMonomial], n: int) -> SigmaFa
     return SigmaFamily(n, supports)
 
 
+def _ending_mask(s: SupportSet, n: int) -> int:
+    """Pattern bits of the translate of s whose last cell lies in the
+    newest column: a cell at shift a sits ord - a columns behind it."""
+    return sum(1 << ((s.ord - a) * n + j - 1) for a, j in s.cells)
+
+
 def pick_automaton(family: SigmaFamily) -> np.ndarray:
     """Transfer table of the column-pick automaton.
 
@@ -166,7 +183,11 @@ def pick_automaton(family: SigmaFamily) -> np.ndarray:
     pattern (r << n) | p hits every member whose window ends at the new
     column, and INF otherwise.  The step lands in the state
     ((r << n) | p) & (len(step) - 1).  The table has 2^(n * width)
-    entries, capped at STATE_BIT_CAP bits."""
+    entries, capped at STATE_BIT_CAP bits.
+
+    The table is built once per family object and kept read-only on it."""
+    if family._pick_table is not None:
+        return family._pick_table
     n, w = family.n, family.width
     bits = n * w
     if bits > STATE_BIT_CAP:
@@ -176,24 +197,66 @@ def pick_automaton(family: SigmaFamily) -> np.ndarray:
     patterns = np.arange(1 << bits, dtype=np.int64)
     hit = np.ones(1 << bits, dtype=bool)
     for s in family.members:
-        mask = 0
-        for (a, j) in s.cells:
-            # cell at shift a of a member of order o sits (o - a) columns
-            # behind the newest column
-            mask |= 1 << ((s.ord - a) * n + (j - 1))
-        hit &= (patterns & mask) != 0
+        hit &= (patterns & _ending_mask(s, n)) != 0
     picks = np.array([bin(p).count("1") for p in range(1 << n)], dtype=np.int64)
-    return np.where(hit.reshape(-1, 1 << n), picks, INF)
+    step = np.where(hit.reshape(-1, 1 << n), picks, INF)
+    step.flags.writeable = False
+    family._pick_table = step
+    return step
 
 
-def pick_graph(family: SigmaFamily) -> Graph:
-    """The pick automaton as an explicit graph: one edge per finite entry
-    of `pick_automaton`, weighted by its picks and labeled by the new
-    column's pick pattern."""
+def _pending_masks(family: SigmaFamily) -> list[int]:
+    """State bits of the cells already seen of each translate still to
+    end, distinct masks only: the translate of member s whose last cell
+    lands j columns after the newest one, for j in 1..ord(s), has seen
+    the cells of the ending mask shifted j columns back.  It is pending
+    in state r iff r & mask == 0.  No mask is empty: every member has a
+    cell at shift 0."""
+    masks = {}
+    for s in family.members:
+        whole = _ending_mask(s, family.n)
+        for j in range(1, s.ord + 1):
+            masks[whole >> (j * family.n)] = None
+    return list(masks)
+
+
+def _pending_key(family: SigmaFamily, size: int) -> np.ndarray:
+    """The pending bits of each of the `size` states packed into an int64
+    key.  When its bits run out, the key so far is renumbered by rank,
+    which keeps both the classes and their order."""
+    states = np.arange(size, dtype=np.int64)
+    key = np.zeros(size, dtype=np.int64)
+    used = 0
+    for mask in _pending_masks(family):
+        if used == 62:
+            key = np.unique(key, return_inverse=True)[1].astype(np.int64)
+            used = int(key.max()).bit_length()
+        key = (key << 1) | ((states & mask) == 0)
+        used += 1
+    return key
+
+
+def pending_graph(family: SigmaFamily) -> Graph:
+    """The pick automaton's quotient by pending members, as a graph.
+
+    The class key of a state packs its pending bits (`_pending_masks`);
+    classes are numbered in key order, so the all-picked state's class,
+    key 0, is class 0.  A class takes the row of its first state: its
+    edges are that row's finite entries, weighted by their picks and
+    labeled by the pick pattern, into the class of the representative's
+    successor.  Explicit checks that every state has its representative's
+    row and successor classes raise CertificateError: the certified mean
+    of the quotient is then the mean of the full automaton."""
     step = pick_automaton(family)
-    src, pick = np.nonzero(step < INF)
-    dst = ((src << family.n) | pick) & (len(step) - 1)
-    return Graph(len(step), src, dst, step[src, pick], pick)
+    _, rep, cls = np.unique(_pending_key(family, len(step)), return_index=True, return_inverse=True)
+    nxt = np.arange(step.size, dtype=np.int64).reshape(step.shape) & (len(step) - 1)
+    row, succ = step[rep], cls[nxt[rep]]  # per class, from its representative
+    if not np.array_equal(step, row[cls]):
+        raise CertificateError(f"{family}: a state's row differs from its pending class's")
+    if not np.array_equal(cls[nxt], succ[cls]):
+        raise CertificateError(f"{family}: a state's successors leave its pending classes")
+    c, pick = np.nonzero(row < INF)
+    return Graph(len(rep), c, succ[c, pick], row[c, pick], pick)
 
 
 def iter_window_taus(family: SigmaFamily, i_max: int) -> Iterator[int]:
@@ -317,8 +380,8 @@ __all__ = [
     "iter_window_taus",
     "max_free_subset",
     "monomial_krull_dim",
+    "pending_graph",
     "pick_automaton",
-    "pick_graph",
     "tau_family",
     "window_dim",
     "window_taus",

@@ -66,6 +66,7 @@ class Graph:
         self.label = np.asarray(label)
         if not len(self.src) == len(self.dst) == len(self.weight) == len(self.label):
             raise ValueError("edge arrays differ in length")
+        self._reached_from = None  # a source that reaches every state
 
     def add_edge(self, u: int, v: int, w: int, label: object = None) -> None:
         """Append one edge; copies the arrays, so meant for small graphs
@@ -76,9 +77,13 @@ class Graph:
         tail = np.empty(1, dtype=object)
         tail[0] = label
         self.label = np.concatenate((self.label.astype(object), tail))
+        self._reached_from = None
 
     def induced(self, keep: np.ndarray) -> "Graph":
-        """Subgraph on the states where keep is True, renumbered in order."""
+        """Subgraph on the states where keep is True, renumbered in order;
+        the graph itself when keep holds everywhere."""
+        if keep.all():
+            return self
         new = np.cumsum(keep) - 1
         e = keep[self.src] & keep[self.dst]
         return Graph(
@@ -88,9 +93,15 @@ class Graph:
 
     def restrict_reachable(self, source: int) -> tuple["Graph", int]:
         """Subgraph induced by the states reachable from source, states
-        renumbered in order; returns (subgraph, new index of source)."""
+        renumbered in order; returns (subgraph, new index of source).  The
+        subgraph remembers its source, so restricting it again from there
+        skips the search."""
+        if self._reached_from == source:
+            return self, source
         seen = _reachable(self.num_states, self.src, self.dst, source)
-        return self.induced(seen), int(np.count_nonzero(seen[:source]))
+        sub, s = self.induced(seen), int(np.count_nonzero(seen[:source]))
+        sub._reached_from = s
+        return sub, s
 
 
 def _reachable(n: int, src: np.ndarray, dst: np.ndarray, source: int) -> np.ndarray:
@@ -352,7 +363,7 @@ def extract_min_mean_cycle(g: Graph, source: int = 0) -> tuple[Fraction, list[ob
     state of the reachable subgraph gets its true distance: values that
     start from INF stay near INF, far above any path from the source."""
     sub, s = g.restrict_reachable(source)
-    mean = minimum_cycle_mean(sub, s)
+    mean = minimum_cycle_mean(sub, s)  # sub remembers s: no second search
     rw = mean.denominator * sub.weight - mean.numerator  # no negative cycles
     start = np.full(sub.num_states, INF, dtype=np.int64)
     start[s] = 0

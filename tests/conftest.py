@@ -10,12 +10,13 @@ used before policy iteration), shortest-path potentials by plain
 synchronous relaxation rounds (the witness potentials the library used
 before the certificate's Bellman-Ford), the pick automaton on the patterns
 of the last `width` columns (the state space the library used before its
-transfer table on width - 1 columns), Groebner bases by the plain
-Buchberger loop the library used before packed exponents and the pair
-heap, with divisibility, quotients, lcms and coprimality on
-SigmaMonomials, F_p solution sets by evaluating every equation on the
-whole window grid (the enumeration the library used before the
-cell-by-cell search).
+transfer table on width - 1 columns), the transfer table read as a graph
+(the graph the library solved before its quotient by pending members),
+Groebner bases by the plain Buchberger loop the library used before packed
+exponents and the pair heap, with divisibility, quotients, lcms and
+coprimality on SigmaMonomials, F_p solution sets by evaluating every
+equation on the whole window grid (the enumeration the library used before
+the cell-by-cell search).
 """
 
 from __future__ import annotations
@@ -246,6 +247,19 @@ def oracle_pick_graph(family):
     pick = np.concatenate(pick)
     cost = np.array([bin(p).count("1") for p in range(1 << n)], dtype=np.int64)
     return Graph(1 << bits, np.concatenate(src), np.concatenate(dst), cost[pick], pick)
+
+
+def pick_graph(family):
+    """The pick automaton as an explicit graph: one edge per finite entry
+    of `pick_automaton`, weighted by its picks and labeled by the new
+    column's pick pattern."""
+    from sigmadim.families import INF, pick_automaton
+    from sigmadim.meancycle import Graph
+
+    step = pick_automaton(family)
+    src, pick = np.nonzero(step < INF)
+    dst = ((src << family.n) | pick) & (len(step) - 1)
+    return Graph(len(step), src, dst, step[src, pick], pick)
 
 
 def oracle_divides(a, b) -> bool:

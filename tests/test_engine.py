@@ -39,8 +39,7 @@ from sigmadim import (
 )
 from sigmadim.covering import IntSet, tau_interval, reflect
 from sigmadim.engine import DimEntry, DimensionReport, _family_report
-from sigmadim.families import pick_graph
-from conftest import mono, poly, random_system
+from conftest import mono, pick_graph, poly, random_system
 
 INTRO = lambda: [poly("y1*s(y1)", 2), poly("y1*y2 - y2*s(y2)", 2)]
 

@@ -23,13 +23,18 @@ from sigmadim import (
     window_dim,
     window_taus,
 )
-from sigmadim.families import STATE_BIT_CAP
+import sigmadim.families as families
+from sigmadim.engine import _family_report, sigma_dim_family
+from sigmadim.families import STATE_BIT_CAP, pending_graph, pick_automaton
+from sigmadim.meancycle import CertificateError, minimum_cycle_mean
 from sigmadim.transversal import minimum_hitting_set_size
 from conftest import (
     brute_max_free_size,
     brute_min_hitting_set_size,
+    karp_min_mean,
     mono,
     oracle_pick_graph,
+    pick_graph,
     window_constraints,
 )
 
@@ -157,6 +162,74 @@ class TestWindowTaus:
     def test_cap_reached(self):
         at_cap = SigmaFamily(2, [[(0, 1), (STATE_BIT_CAP // 2 - 1, 2)]])
         assert window_dim(at_cap, 2) == 6
+
+
+def random_pending_family(rng: random.Random) -> SigmaFamily:
+    """n <= 3, up to 4 members, at most 10 bits of n * width; the first
+    member spans the width, and a quarter of the others sit in one
+    column."""
+    n = rng.randint(1, 3)
+    width = rng.randint(1, 10 // n)
+    members = [{(0, rng.randint(1, n)), (width - 1, rng.randint(1, n))}]
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.25:
+            a = rng.randint(0, width - 1)
+            members.append({(a, rng.randint(1, n)) for _ in range(rng.randint(1, n))})
+        else:
+            cells = {(rng.randint(0, width - 1), rng.randint(1, n)) for _ in range(rng.randint(1, 3))}
+            members.append(cells)
+    return SigmaFamily(n, members)
+
+
+PENDING_RNG = random.Random(61)
+PENDING_FAMILIES = [random_pending_family(PENDING_RNG) for _ in range(300)]
+# every {0, a, 12}: 66 pair masks and 12 single-cell masks, so the class
+# keys are renumbered once their 62 bits run out
+MANY_MASKS = SigmaFamily(1, [[(0, 1), (a, 1), (12, 1)] for a in range(1, 12)])
+
+
+class TestPendingGraph:
+    def test_many_masks_fold_the_key(self):
+        assert len(families._pending_masks(MANY_MASKS)) > 62
+        assert len(MANY_MASKS.members) == 11
+
+    def test_mean_matches_the_full_automaton(self):
+        for fam in PENDING_FAMILIES + [MANY_MASKS]:
+            g = pending_graph(fam)
+            assert g.num_states <= len(pick_automaton(fam)), fam
+            mean = minimum_cycle_mean(g)
+            assert mean == minimum_cycle_mean(pick_graph(fam)), fam
+            assert mean == minimum_cycle_mean(oracle_pick_graph(fam)), fam
+            assert mean == karp_min_mean(g), fam
+
+    def test_checked_solve(self):
+        for fam in PENDING_FAMILIES + [MANY_MASKS]:
+            want = fam.n - minimum_cycle_mean(pick_graph(fam))
+            assert sigma_dim_family(fam, check=True) == want, fam
+
+    def test_dropped_mask_fails_the_congruence_check(self, monkeypatch):
+        # explicit checks, so this also holds under python -O
+        real = families._pending_masks
+        monkeypatch.setattr(families, "_pending_masks", lambda fam: real(fam)[1:])
+        with pytest.raises(CertificateError):
+            pending_graph(YS)
+        caught = 0
+        for fam in PENDING_FAMILIES:
+            try:
+                pending_graph(fam)
+            except CertificateError:
+                caught += 1
+        assert caught > 0
+
+    def test_table_built_once_per_family(self):
+        fam = SigmaFamily(2, [[(0, 1), (1, 2)], [(0, 2), (2, 1)]])
+        step = pick_automaton(fam)
+        assert not step.flags.writeable
+        _family_report(fam, 12, check=True)
+        assert pick_automaton(fam) is step
+        twin = SigmaFamily(2, fam.members)
+        assert twin == fam and hash(twin) == hash(fam)
+        assert pick_automaton(twin) is not step
 
 
 class TestWindowDim:

@@ -14,10 +14,9 @@ import pytest
 
 import sigmadim
 import sigmadim.meancycle as meancycle
-from conftest import karp_min_mean, oracle_distances, oracle_pick_graph
+from conftest import karp_min_mean, oracle_distances, oracle_pick_graph, pick_graph
 from sigmadim import CertificateError, SigmaFamily
 from sigmadim.covering import IntSet, coverage_graph
-from sigmadim.families import pick_graph
 from sigmadim.meancycle import Graph, extract_min_mean_cycle, minimum_cycle_mean
 
 
@@ -191,6 +190,30 @@ def test_restrict_reachable_renumbers_in_order():
         assert sub.label.tolist() == kept
         assert sub.src.tolist() == [new[edges[k][0]] for k in kept]
         assert sub.dst.tolist() == [new[edges[k][1]] for k in kept]
+
+
+def test_witness_search_runs_one_reachability_search(monkeypatch):
+    real = meancycle._reachable
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(meancycle, "_reachable", counting)
+    g = Graph(4)
+    g.add_edge(0, 1, 1)
+    g.add_edge(1, 0, 1)
+    g.add_edge(2, 2, 0)  # cheaper, but unreachable from 0
+    g.add_edge(1, 3, 5)
+    assert extract_min_mean_cycle(g) == (1, [None, None])
+    assert len(calls) == 1
+    sub, s = g.restrict_reachable(0)
+    assert sub.induced(np.ones(sub.num_states, dtype=bool)) is sub
+    assert sub.restrict_reachable(s) == (sub, s) and len(calls) == 2
+    sub.add_edge(s, s, 0)  # a new edge forgets the source
+    sub.restrict_reachable(s)
+    assert len(calls) == 3
 
 
 def random_pick_family(rng, max_bits, full_width=False):
