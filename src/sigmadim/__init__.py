@@ -31,7 +31,6 @@ from .families import (
     UnitIdealError,
     family_from_monomials,
     is_free,
-    max_free_subset,
     monomial_krull_dim,
     tau_family,
     window_dim,
@@ -50,7 +49,6 @@ from .groebner import (
 from .lab import (
     BudgetExceededError,
     TruncatedSolutionSet,
-    empirical_free_check,
     enumerate_truncated_solutions,
     projection_count,
 )

@@ -97,7 +97,7 @@ def _report_lines(report: DimensionReport) -> list[str]:
     if report.family is not None:
         lines.append(f"monomialized family (depth {report.truncation_depth}):")
         for s in report.family.members:
-            lines.append("  " + "{" + ",".join(f"({i},{j})" for i, j in s.sorted_cells()) + "}")
+            lines.append(f"  {s!r}")
         if report.family_value is not None:
             lines.append(f"family sigma-dim (exact for the family) = {_frac_text(report.family_value)}")
     if report.linear_tail is not None:

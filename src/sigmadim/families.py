@@ -6,10 +6,9 @@ monomial sigma-ideal generated by all forward shifts of its members.  This
 module owns the column-pick automaton: one transfer table over the pick
 patterns of the last width - 1 columns (`pick_automaton`, capped at
 STATE_BIT_CAP bits of n * width), read by finite-horizon min-plus passes
-for window transversal numbers, window dimensions and lexicographically
-least maximum free subsets.  It also tests free sets directly and computes
-the Krull dimension of ordinary monomial ideals by an exact minimum
-hitting set.
+for window transversal numbers and window dimensions.  It also tests free
+sets directly and computes the Krull dimension of ordinary monomial
+ideals by an exact minimum hitting set.
 
 The cycle-mean solve reads the table through its quotient by pending
 members (`pending_graph`).  A translate of a member is pending in a state
@@ -320,41 +319,6 @@ def is_free(T: Iterable[Cell], family: SigmaFamily) -> bool:
     return True
 
 
-def max_free_subset(family: SigmaFamily, i: int) -> frozenset[Cell]:
-    """Lexicographically smallest maximum free subset of the order-i window.
-
-    Free sets are exactly the complements of window hitting sets.  A
-    backward pass over the pick automaton gives, for each column, the least
-    picks the later columns still need; the forward scan then takes, column
-    by column, the pick pattern that leaves the earliest cells free among
-    those that keep the total at tau."""
-    if i < 0:
-        raise ValueError("window order must be >= 0")
-    n = family.n
-    if not family.members:
-        return frozenset((a, j) for a in range(i + 1) for j in range(1, n + 1))
-    step = pick_automaton(family)
-    full = len(step) - 1  # the all-picked state
-    nxt = np.arange(step.size, dtype=np.int64).reshape(step.shape) & full
-    # rest[c][r]: least picks in columns c..i from state r; rest[i + 1] = 0.
-    # Finite everywhere: picking a whole column is never blocked
-    rest = [np.zeros(len(step), dtype=np.int64)]
-    for _ in range(i + 1):
-        rest.append((step + rest[-1][nxt]).min(axis=1))
-    rest.reverse()
-    # lexicographic preference: cell (a, 1) free first, then (a, 2), ...
-    order = sorted(range(1 << n), key=lambda p: [(p >> k) & 1 for k in range(n)])
-    state = full
-    free: set[Cell] = set()
-    for a in range(i + 1):
-        need = rest[a][state]
-        through = (step[state] + rest[a + 1][nxt[state]]).tolist()
-        pick = next(p for p in order if through[p] == need)
-        free.update((a, j) for j in range(1, n + 1) if not pick >> (j - 1) & 1)
-        state = int(nxt[state, pick])
-    return frozenset(free)
-
-
 def monomial_krull_dim(supports: Sequence[Iterable], m: int) -> int | EmptyDimension:
     """Krull dimension of k[x_1..x_m] modulo a squarefree monomial ideal
     given by generator supports: m minus a minimum hitting set.  Returns
@@ -378,7 +342,6 @@ __all__ = [
     "family_from_monomials",
     "is_free",
     "iter_window_taus",
-    "max_free_subset",
     "monomial_krull_dim",
     "pending_graph",
     "pick_automaton",

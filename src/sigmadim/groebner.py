@@ -68,9 +68,8 @@ class MonomialOrder:
     `rank` maps a SigmaVariable to a sortable key; larger key = larger
     variable.  The default ranking is the identity (shift, index)."""
 
-    def __init__(self, rank: Callable[[SigmaVariable], tuple] | None = None, name: str = "lex"):
+    def __init__(self, rank: Callable[[SigmaVariable], tuple] | None = None):
         self._rank = rank or (lambda v: v)
-        self.name = name
 
     def key(self, m: SigmaMonomial):
         """Sort key: exponents listed from the highest-ranked variable down.
@@ -95,10 +94,7 @@ LEX = MonomialOrder()
 def elimination_order(eliminate_vars: Iterable[SigmaVariable]) -> MonomialOrder:
     """Lex order ranking the given variables above every other variable."""
     elim = frozenset(SigmaVariable(*v) for v in eliminate_vars)
-    return MonomialOrder(
-        rank=lambda v: (1 if v in elim else 0, v.shift, v.index),
-        name="lex-eliminating",
-    )
+    return MonomialOrder(rank=lambda v: (1 if v in elim else 0, v.shift, v.index))
 
 
 class GroebnerBasis:
@@ -112,7 +108,7 @@ class GroebnerBasis:
     `basis_dimension` and `leading_monomial_ideal` unpack only the leading
     monomials."""
 
-    __slots__ = ("packed", "ring", "bits", "num_vars", "variables", "order", "_generators")
+    __slots__ = ("packed", "ring", "bits", "num_vars", "_generators")
 
     def __init__(
         self,
@@ -120,14 +116,11 @@ class GroebnerBasis:
         ring: list[SigmaVariable],
         bits: int,
         num_vars: int,
-        order: MonomialOrder,
     ):
         self.packed = packed
         self.ring = ring
         self.bits = bits
         self.num_vars = num_vars
-        self.variables = frozenset(ring)
-        self.order = order
         self._generators = None
 
     @property
@@ -562,7 +555,7 @@ def buchberger(
     basis, bits = _widening(run)
     if basis is None:
         basis = [(0, 1, {})]
-    return GroebnerBasis(basis, ring, bits, num_vars, order)
+    return GroebnerBasis(basis, ring, bits, num_vars)
 
 
 def leading_monomial_ideal(G: GroebnerBasis) -> list[SigmaMonomial]:
@@ -572,7 +565,7 @@ def leading_monomial_ideal(G: GroebnerBasis) -> list[SigmaMonomial]:
 
 
 def basis_dimension(basis: GroebnerBasis) -> int | EmptyDimension:
-    """Krull dimension of k[basis.variables]/(basis), via the leading-monomial
+    """Krull dimension of k[basis.ring]/(basis), via the leading-monomial
     ideal: the number of variables minus a minimum hitting set of the
     squarefree lm supports.  EMPTY for the unit ideal (zero ring)."""
     if basis.is_unit_ideal:

@@ -12,7 +12,6 @@ large algebraically closed fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -164,17 +163,3 @@ def projection_count(sols: TruncatedSolutionSet, T: Iterable[Cell]) -> int:
             raise ValueError(f"cell {c} outside the window")
         pos.append(sols.cells.index(c))
     return len({tuple(pt[k] for k in pos) for pt in sols.points})
-
-
-def empirical_free_check(
-    F: Sequence[DifferencePolynomial],
-    p: int,
-    i: int,
-    T: Iterable[Cell],
-    budget: int = DEFAULT_BUDGET,
-) -> Fraction:
-    """projection_count / p^|T|: equal to 1 is necessary evidence that T
-    is free; below 1 over several primes is evidence against."""
-    cells = sorted({(int(a), int(j)) for a, j in T})
-    sols = enumerate_truncated_solutions(F, p, i, budget=budget)
-    return Fraction(projection_count(sols, cells), p ** len(cells))

@@ -68,17 +68,6 @@ class Graph:
             raise ValueError("edge arrays differ in length")
         self._reached_from = None  # a source that reaches every state
 
-    def add_edge(self, u: int, v: int, w: int, label: object = None) -> None:
-        """Append one edge; copies the arrays, so meant for small graphs
-        written out by hand."""
-        self.src = np.append(self.src, u)
-        self.dst = np.append(self.dst, v)
-        self.weight = np.append(self.weight, w)
-        tail = np.empty(1, dtype=object)
-        tail[0] = label
-        self.label = np.concatenate((self.label.astype(object), tail))
-        self._reached_from = None
-
     def induced(self, keep: np.ndarray) -> "Graph":
         """Subgraph on the states where keep is True, renumbered in order;
         the graph itself when keep holds everywhere."""

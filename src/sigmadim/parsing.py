@@ -17,8 +17,8 @@ mirror is ``{"n": ..., "members": [[[shift, index], ...], ...]}``.
 from __future__ import annotations
 
 from fractions import Fraction
-from .families import SigmaFamily, SupportSet
-from .polynomials import DifferencePolynomial, SigmaMonomial
+from .families import SigmaFamily
+from .polynomials import DifferencePolynomial
 
 
 class ParseError(ValueError):
@@ -130,13 +130,6 @@ def parse_polynomial(text: str, num_vars: int) -> DifferencePolynomial:
     return out
 
 
-def _monomial_text(m: SigmaMonomial) -> str:
-    parts = []
-    for v, e in m.exps:
-        parts.append(str(v) if e == 1 else f"{v}^{e}")
-    return "*".join(parts)
-
-
 def polynomial_text(f: DifferencePolynomial) -> str:
     """Deterministic text form: terms in descending lex order."""
     from .groebner import LEX
@@ -148,9 +141,9 @@ def polynomial_text(f: DifferencePolynomial) -> str:
         if m.is_one:
             body = str(abs(c))
         elif abs(c) == 1:
-            body = _monomial_text(m)
+            body = str(m)
         else:
-            body = f"{abs(c)}*{_monomial_text(m)}"
+            body = f"{abs(c)}*{m}"
         if not chunks:
             chunks.append(body if c > 0 else f"-{body}")
         else:
@@ -185,10 +178,6 @@ def parse_cells(text: str) -> list[tuple[int, int]]:
     return cells
 
 
-def support_text(s: SupportSet) -> str:
-    return "{" + ",".join(f"({i},{j})" for i, j in s.sorted_cells()) + "}"
-
-
 def parse_family_text(text: str, n: int | None = None) -> SigmaFamily:
     """One member per line; n defaults to the largest index seen."""
     members = []
@@ -205,7 +194,7 @@ def parse_family_text(text: str, n: int | None = None) -> SigmaFamily:
 
 
 def family_text(family: SigmaFamily) -> str:
-    return "\n".join(support_text(s) for s in family.members)
+    return "\n".join(map(repr, family.members))
 
 
 def family_to_json(family: SigmaFamily) -> dict:

@@ -151,10 +151,6 @@ class DifferencePolynomial:
     def variable(shift: int, index: int, num_vars: int) -> "DifferencePolynomial":
         return DifferencePolynomial({SigmaMonomial.variable(shift, index): Fraction(1)}, num_vars)
 
-    @staticmethod
-    def from_monomial(m: SigmaMonomial, num_vars: int) -> "DifferencePolynomial":
-        return DifferencePolynomial({m: Fraction(1)}, num_vars)
-
     # -- basic queries ------------------------------------------------------
 
     @property
@@ -179,9 +175,6 @@ class DifferencePolynomial:
         for m in self.terms:
             out |= m.support()
         return frozenset(out)
-
-    def monomials(self) -> list[SigmaMonomial]:
-        return list(self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -36,7 +36,7 @@ def poly(text: str, n: int) -> DifferencePolynomial:
 
 def mono(text: str, n: int) -> SigmaMonomial:
     p = parse_polynomial(text, n)
-    (m,) = p.monomials()
+    (m,) = p.terms
     return m
 
 
@@ -144,6 +144,20 @@ def brute_max_free_size(family, i: int) -> int:
             continue
         best = max(best, bin(pick).count("1"))
     return best
+
+
+def graph(num_states: int, edges):
+    """A Graph written out by hand: edges are (u, v, w) or (u, v, w, label)
+    tuples, in order; a missing label is None."""
+    from sigmadim.meancycle import Graph
+
+    edges = list(edges)
+    label = np.empty(len(edges), dtype=object)
+    for k, e in enumerate(edges):
+        label[k] = e[3] if len(e) > 3 else None
+    return Graph(
+        num_states, [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges], label
+    )
 
 
 def karp_min_mean(g, source: int = 0) -> Fraction:

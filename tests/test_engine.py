@@ -213,7 +213,7 @@ class TestCertificateChecks:
 
         # d_i = i + 2 for an order-0 system: not (i + 1) * d_0
         monkeypatch.setattr(
-            sigmadim.engine, "basis_dimension", lambda basis: len(basis.variables) // 2 + 1
+            sigmadim.engine, "basis_dimension", lambda basis: len(basis.ring) // 2 + 1
         )
         with pytest.raises(CertificateError):
             truncated_dim_sequence([poly("y1*y2", 2)], 3)

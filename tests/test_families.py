@@ -17,7 +17,6 @@ from sigmadim import (
     UnitIdealError,
     family_from_monomials,
     is_free,
-    max_free_subset,
     monomial_krull_dim,
     tau_family,
     window_dim,
@@ -155,7 +154,7 @@ class TestWindowTaus:
 
     def test_cap_exceeded(self):
         wide = SigmaFamily(1, [[(0, 1), (STATE_BIT_CAP, 1)]])
-        for call in (window_taus, tau_family, window_dim, max_free_subset):
+        for call in (window_taus, tau_family, window_dim):
             with pytest.raises(CapExceededError):
                 call(wide, 0)
 
@@ -306,60 +305,6 @@ class TestIsFree:
     def test_cells_outside_the_ring_rejected(self, cells):
         with pytest.raises(ValueError, match="N x"):
             is_free(cells, YS)
-
-
-class TestMaxFreeSubset:
-    def test_product_window(self):
-        assert max_free_subset(YS, 3) == {(0, 1), (2, 1)}
-
-    def test_empty_family_full_window(self):
-        assert max_free_subset(SigmaFamily(1, []), 1) == {(0, 1), (1, 1)}
-
-    def test_killed_column(self):
-        assert max_free_subset(SigmaFamily(1, [[(0, 1)]]), 2) == frozenset()
-
-    def test_witness_properties(self):
-        rng = random.Random(6)
-        for _ in range(15):
-            fam = random_family(rng)
-            i = rng.randint(0, 4)
-            T = max_free_subset(fam, i)
-            assert is_free(T, fam)
-            assert len(T) == window_dim(fam, i)
-
-    def test_lexicographically_smallest(self):
-        rng = random.Random(7)
-        for _ in range(8):
-            fam = random_family(rng, n=1)
-            i = rng.randint(1, 3)
-            T = sorted(max_free_subset(fam, i))
-            cells = [(a, j) for a in range(i + 1) for j in range(1, fam.n + 1)]
-            best = None
-            target = window_dim(fam, i)
-            from itertools import combinations
-
-            for combo in combinations(sorted(cells), target):
-                if is_free(combo, fam):
-                    best = list(combo)
-                    break
-            assert T == (best or [])
-
-
-    def test_matches_hitting_set_greedy(self):
-        # the greedy scan over branch-and-bound hitting sets that the
-        # automaton backtrack replaced, n <= 2
-        rng = random.Random(8)
-        for _ in range(25):
-            fam = random_family(rng)
-            i = rng.randint(0, 5)
-            constraints = window_constraints(fam, i)
-            tau = minimum_hitting_set_size(constraints)
-            taken: set = set()
-            for cell in sorted((a, j) for a in range(i + 1) for j in range(1, fam.n + 1)):
-                banned = taken | {cell}
-                if minimum_hitting_set_size([c - banned for c in constraints]) == tau:
-                    taken.add(cell)
-            assert max_free_subset(fam, i) == taken, (fam, i)
 
 
 class TestMonomialKrullDim:

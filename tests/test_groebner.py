@@ -126,15 +126,13 @@ class TestIdealDimension:
         F = [poly("y1*y2 - 1", 2), poly("y2^2 - y1", 2), poly("s(y1) - y1*y2", 2)]
         variables = [(0, 1), (0, 2), (1, 1), (1, 2)]
         basis = buchberger(F, variables)
-        lm_polys = [
-            DifferencePolynomial.from_monomial(m, 2) for m in leading_monomial_ideal(basis)
-        ]
+        lm_polys = [DifferencePolynomial({m: 1}, 2) for m in leading_monomial_ideal(basis)]
         assert basis_dimension(basis) == basis_dimension(buchberger(lm_polys, variables))
 
     def test_principal_monomial_matches_krull(self):
         m = mono("y1*s(y2)^2", 2)
         variables = [(0, 1), (0, 2), (1, 1), (1, 2)]
-        f = DifferencePolynomial.from_monomial(m, 2)
+        f = DifferencePolynomial({m: 1}, 2)
         assert basis_dimension(buchberger([f], variables)) == monomial_krull_dim(
             [m.support()], len(variables)
         )

@@ -17,7 +17,6 @@ from sigmadim import (
     BudgetExceededError,
     SigmaFamily,
     DifferencePolynomial,
-    empirical_free_check,
     enumerate_truncated_solutions,
     is_free,
     projection_count,
@@ -160,19 +159,25 @@ class TestProjection:
 
 
 class TestEmpiricalFreeCheck:
+    """Projection counts: p^|T| points over T is necessary evidence that T
+    is free, fewer is evidence against."""
+
     def test_single_coordinate(self):
-        assert empirical_free_check([poly("y1*s(y1)", 1)], 3, 1, [(0, 1)]) == 1
+        sols = enumerate_truncated_solutions([poly("y1*s(y1)", 1)], 3, 1)
+        assert projection_count(sols, [(0, 1)]) == 3
 
     def test_duplicate_cells(self):
-        assert empirical_free_check([poly("y1*s(y1)", 1)], 3, 1, [(0, 1), (0, 1)]) == 1
+        sols = enumerate_truncated_solutions([poly("y1*s(y1)", 1)], 3, 1)
+        assert projection_count(sols, [(0, 1), (0, 1)]) == 3
 
     def test_pair(self):
-        got = empirical_free_check([poly("y1*s(y1)", 1)], 3, 1, [(0, 1), (1, 1)])
-        assert got == Fraction(5, 9)
+        # y0*y1 = 0 over F_3: 5 of the 9 pairs
+        sols = enumerate_truncated_solutions([poly("y1*s(y1)", 1)], 3, 1)
+        assert projection_count(sols, [(0, 1), (1, 1)]) == 5
 
     def test_zero_system(self):
-        zero = DifferencePolynomial.zero(1)
-        assert empirical_free_check([zero], 3, 1, [(0, 1), (1, 1)]) == 1
+        sols = enumerate_truncated_solutions([DifferencePolynomial.zero(1)], 3, 1)
+        assert projection_count(sols, [(0, 1), (1, 1)]) == 9
 
     def test_agrees_with_is_free_for_monomial_systems(self):
         # squarefree monomial systems have no field-size pathologies

@@ -14,7 +14,7 @@ import pytest
 
 import sigmadim
 import sigmadim.meancycle as meancycle
-from conftest import karp_min_mean, oracle_distances, oracle_pick_graph, pick_graph
+from conftest import graph, karp_min_mean, oracle_distances, oracle_pick_graph, pick_graph
 from sigmadim import CertificateError, SigmaFamily
 from sigmadim.covering import IntSet, coverage_graph
 from sigmadim.meancycle import Graph, extract_min_mean_cycle, minimum_cycle_mean
@@ -55,42 +55,43 @@ def brute_min_mean(g: Graph, source: int) -> Fraction:
 
 
 def test_self_loop():
-    g = Graph(1)
-    g.add_edge(0, 0, 3)
+    g = graph(1, [(0, 0, 3)])
     assert minimum_cycle_mean(g) == 3
 
 
 def test_two_cycles():
-    g = Graph(3)
-    g.add_edge(0, 1, 1)
-    g.add_edge(1, 0, 0)  # mean 1/2
-    g.add_edge(1, 2, 1)
-    g.add_edge(2, 1, 2)  # mean 3/2
+    g = graph(3, [
+        (0, 1, 1),
+        (1, 0, 0),  # mean 1/2
+        (1, 2, 1),
+        (2, 1, 2),  # mean 3/2
+    ])
     assert minimum_cycle_mean(g) == Fraction(1, 2)
 
 
 def test_unreachable_cycle_ignored():
-    g = Graph(3)
-    g.add_edge(0, 0, 5)
-    g.add_edge(1, 2, 0)
-    g.add_edge(2, 1, 0)  # cheaper but unreachable from 0
+    g = graph(3, [
+        (0, 0, 5),
+        (1, 2, 0),
+        (2, 1, 0),  # cheaper but unreachable from 0
+    ])
     assert minimum_cycle_mean(g, source=0) == 5
 
 
 def test_no_cycle_raises():
-    g = Graph(2)
-    g.add_edge(0, 1, 1)
+    g = graph(2, [(0, 1, 1)])
     with pytest.raises(ValueError):
         minimum_cycle_mean(g)
 
 
 def test_extraction_walks_a_real_cycle():
-    g = Graph(4)
-    g.add_edge(0, 1, 1, "a")
-    g.add_edge(1, 2, 0, "b")
-    g.add_edge(2, 1, 1, "c")
-    g.add_edge(2, 3, 0, "d")
-    g.add_edge(3, 0, 9, "e")
+    g = graph(4, [
+        (0, 1, 1, "a"),
+        (1, 2, 0, "b"),
+        (2, 1, 1, "c"),
+        (2, 3, 0, "d"),
+        (3, 0, 9, "e"),
+    ])
     mean, labels = extract_min_mean_cycle(g)
     assert mean == Fraction(1, 2)
     assert sorted(labels) == ["b", "c"]
@@ -100,11 +101,12 @@ def test_random_graphs_match_brute_force():
     rng = random.Random(23)
     for _ in range(60):
         nv = rng.randint(1, 6)
-        g = Graph(nv)
-        for _ in range(rng.randint(1, 12)):
-            g.add_edge(rng.randrange(nv), rng.randrange(nv), rng.randint(0, 4))
+        edges = [
+            (rng.randrange(nv), rng.randrange(nv), rng.randint(0, 4))
+            for _ in range(rng.randint(1, 12))
+        ]
         # ensure a reachable cycle exists
-        g.add_edge(0, 0, 5)
+        g = graph(nv, edges + [(0, 0, 5)])
         expect = brute_min_mean(g, 0)
         assert minimum_cycle_mean(g, 0) == expect
         mean, labels = extract_min_mean_cycle(g, 0)
@@ -115,33 +117,32 @@ def test_random_graphs_match_brute_force():
 def random_graph(rng, feature: str) -> Graph:
     """A random graph with a reachable cycle and the named feature."""
     nv = rng.randint(2, 9)
-    g = Graph(nv)
+    states, edges = nv, []
     for _ in range(rng.randint(nv, 3 * nv)):
         u, v = rng.randrange(nv), rng.randrange(nv)
         if u != v:
-            g.add_edge(u, v, rng.randint(0, 6))
-    g.add_edge(0, 1, rng.randint(0, 6))
-    g.add_edge(1, 0, rng.randint(0, 6))
+            edges.append((u, v, rng.randint(0, 6)))
+    edges.append((0, 1, rng.randint(0, 6)))
+    edges.append((1, 0, rng.randint(0, 6)))
     if feature == "dead_ends":
         # states with no way out, entered from everywhere
-        g = Graph(nv + 2, g.src, g.dst, g.weight)
+        states = nv + 2
         for u in range(nv):
-            g.add_edge(u, nv + rng.randint(0, 1), rng.randint(0, 6))
-        g.add_edge(nv, nv + 1, 0)
+            edges.append((u, nv + rng.randint(0, 1), rng.randint(0, 6)))
+        edges.append((nv, nv + 1, 0))
     elif feature == "unreachable_cheaper":
         # a zero-mean cycle that only leads into the graph
-        g = Graph(nv + 2, g.src, g.dst, g.weight)
-        g.add_edge(nv, nv + 1, 0)
-        g.add_edge(nv + 1, nv, 0)
-        g.add_edge(nv + 1, rng.randrange(nv), 0)
+        states = nv + 2
+        edges += [(nv, nv + 1, 0), (nv + 1, nv, 0), (nv + 1, rng.randrange(nv), 0)]
     elif feature == "parallel":
-        for k in rng.sample(range(len(g.src)), min(4, len(g.src))):
-            g.add_edge(int(g.src[k]), int(g.dst[k]), rng.randint(0, 6))
-    elif feature == "zero_weight":
-        g.weight[rng.sample(range(len(g.src)), len(g.src) // 2)] = 0
+        for k in rng.sample(range(len(edges)), min(4, len(edges))):
+            edges.append(edges[k][:2] + (rng.randint(0, 6),))
     elif feature == "self_loops":
         for u in rng.sample(range(nv), rng.randint(1, nv)):
-            g.add_edge(u, u, rng.randint(0, 6))
+            edges.append((u, u, rng.randint(0, 6)))
+    g = graph(states, edges)
+    if feature == "zero_weight":
+        g.weight[rng.sample(range(len(g.src)), len(g.src) // 2)] = 0
     return g
 
 
@@ -159,11 +160,12 @@ def test_policy_iteration_matches_karp(feature):
 
 
 def test_dead_ends_are_trimmed():
-    g = Graph(4)
-    g.add_edge(0, 1, 1)
-    g.add_edge(1, 0, 1)
-    g.add_edge(1, 2, 0)
-    g.add_edge(2, 3, 0)  # 2 and 3 lead nowhere
+    g = graph(4, [
+        (0, 1, 1),
+        (1, 0, 1),
+        (1, 2, 0),
+        (2, 3, 0),  # 2 and 3 lead nowhere
+    ])
     assert minimum_cycle_mean(g) == 1
     with pytest.raises(ValueError):
         minimum_cycle_mean(g, source=2)
@@ -201,18 +203,19 @@ def test_witness_search_runs_one_reachability_search(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(meancycle, "_reachable", counting)
-    g = Graph(4)
-    g.add_edge(0, 1, 1)
-    g.add_edge(1, 0, 1)
-    g.add_edge(2, 2, 0)  # cheaper, but unreachable from 0
-    g.add_edge(1, 3, 5)
+    edges = [
+        (0, 1, 1),
+        (1, 0, 1),
+        (2, 2, 0),  # cheaper, but unreachable from 0
+        (1, 3, 5),
+    ]
+    g = graph(4, edges)
     assert extract_min_mean_cycle(g) == (1, [None, None])
     assert len(calls) == 1
     sub, s = g.restrict_reachable(0)
     assert sub.induced(np.ones(sub.num_states, dtype=bool)) is sub
     assert sub.restrict_reachable(s) == (sub, s) and len(calls) == 2
-    sub.add_edge(s, s, 0)  # a new edge forgets the source
-    sub.restrict_reachable(s)
+    graph(4, edges).restrict_reachable(0)  # a new graph remembers no source
     assert len(calls) == 3
 
 
@@ -284,11 +287,7 @@ def tie_graph() -> Graph:
     """The cheapest edge out of 0 is a loop of mean 2, but the cycle
     0 -> 1 -> 0 has mean 3/2: only a value step of the policy iteration
     finds it."""
-    g = Graph(2)
-    g.add_edge(0, 0, 2)
-    g.add_edge(0, 1, 3)
-    g.add_edge(1, 0, 0)
-    return g
+    return graph(2, [(0, 0, 2), (0, 1, 3), (1, 0, 0)])
 
 
 def test_negative_cycle_restarts_the_iteration(monkeypatch):
@@ -348,10 +347,7 @@ def test_corrupted_policy_cycle(monkeypatch, corruption):
         return cycle[:-1], mean
 
     monkeypatch.setattr(meancycle, "_policy_cycle", corrupted)
-    g = Graph(3)
-    g.add_edge(0, 1, 1)
-    g.add_edge(1, 2, 2)
-    g.add_edge(2, 0, 0)
+    g = graph(3, [(0, 1, 1), (1, 2, 2), (2, 0, 0)])
     with pytest.raises(CertificateError):
         minimum_cycle_mean(g)
 
@@ -368,9 +364,7 @@ def corrupted(*args):
     cycle, mean = real(*args)
     return cycle, mean - Fraction(1, 7)
 meancycle._policy_cycle = corrupted
-g = Graph(2)
-g.add_edge(0, 1, 1)
-g.add_edge(1, 0, 2)
+g = Graph(2, src=[0, 1], dst=[1, 0], weight=[1, 2])
 try:
     meancycle.minimum_cycle_mean(g)
 except CertificateError as exc:

@@ -46,7 +46,7 @@ def packed(exps, bits):
     ring = RING[: len(exps)]
     offset, guard = _layout(ring, bits)
     m = SigmaMonomial(zip(ring, exps))
-    (e,) = _pack(DifferencePolynomial.from_monomial(m, 1), offset, bits)[0]
+    (e,) = _pack(DifferencePolynomial({m: 1}, 1), offset, bits)[0]
     return e, guard
 
 
