@@ -8,7 +8,11 @@ Exact values:
 
 Convergent upper bounds for general systems, via Krull dimensions of
 shift-generated truncations (the d-hat sequence); the bound is sound
-because the normalized dimension sequence converges to its infimum.
+because the normalized dimension sequence converges to its infimum.  The
+whole ladder takes one Groebner basis run, on the deepest window: its
+inputs join in increasing leading-monomial order, and every input of a
+shallower window comes first, so each window's dimension is read off the
+pass that joins its last input (`truncated_dim_sequence`).
 A general system can additionally be monomialized: the squarefree supports
 of the leading monomials of a truncated Groebner basis form a family whose
 exact sigma-dimension is reported alongside, with no claim that the family
@@ -32,7 +36,7 @@ from .families import (
     pending_graph,
     window_taus,
 )
-from .groebner import LEX, GroebnerBasis, basis_dimension, buchberger, eliminate, leading_monomial_ideal
+from .groebner import LEX, GroebnerBasis, buchberger, eliminate, leading_monomial_ideal, prefix_dimension
 from .meancycle import CertificateError, extract_min_mean_cycle, minimum_cycle_mean
 from .polynomials import DifferencePolynomial, SigmaMonomial, SigmaVariable
 
@@ -139,14 +143,18 @@ def _verify_periodic_picks(family: SigmaFamily, picks: list[int]) -> bool:
     return True
 
 
-def sigma_dim_family(family: SigmaFamily, check: bool = False) -> Fraction:
+def sigma_dim_family(
+    family: SigmaFamily, check: bool = False, *, taus: Optional[Sequence[int]] = None
+) -> Fraction:
     """Exact sigma-dimension n - C of a squarefree monomial family, where
     C = lim tau(family, i)/(i+1) is the minimum mean pick rate per column.
 
     With check=True, C is taken with a witness cycle from one solve and
     checked independently of the solver: the witness, read as a periodic
     column-pick pattern, has density exactly C and hits every shifted
-    member, and finite window transversal ratios never exceed C."""
+    member, and finite window transversal ratios never exceed C.  The
+    ratios are read off `taus`, tau(family, i) for i = 0..at least
+    8 * width, when the caller has them, else off a pass of their own."""
     if not family.members:
         return Fraction(family.n)
     graph = pending_graph(family)
@@ -157,7 +165,8 @@ def sigma_dim_family(family: SigmaFamily, check: bool = False) -> Fraction:
     if density != c:
         raise CertificateError(f"{family}: periodic picks {picks} have density {density}, not {c}")
     w = family.width
-    taus = window_taus(family, 8 * w)
+    if taus is None:
+        taus = window_taus(family, 8 * w)
     for i in (2 * w, 4 * w, 8 * w):
         ratio = Fraction(taus[i], i + 1)
         if ratio > c:
@@ -203,11 +212,31 @@ def truncation_generators(
     return gens
 
 
+def _window_inputs(orders: Sequence[Optional[int]], i: int) -> int:
+    """k_i = len(truncation_generators(F, i)) from the orders of F's
+    generators: max(0, i - ord(f) + 1) shifts of each, one for a nonzero
+    constant (order None)."""
+    return sum(1 if o is None else max(0, i - o + 1) for o in orders)
+
+
 def truncated_dim_sequence(
     F: Sequence[DifferencePolynomial], i_max: int
 ) -> DimensionReport:
     """The d-hat sequence: Krull dimension of the shift-generated
     truncation inside each window ring, for i = 0..i_max.
+
+    One `buchberger` run on the generators of window i_max gives every
+    window.  Under the shift-compatible lex order the leading monomial of
+    s^l(f) contains the top-ranked variable of its support, whose shift
+    is l + ord(f), so every input of window i is smaller than every input
+    outside it; the run joins its inputs in increasing leading-monomial
+    order (stably), so window i's inputs are its first k_i
+    (`_window_inputs`), and the minimal basis after pass k_i is a
+    Groebner basis of window i's truncation: d_i = n(i+1) minus a minimum
+    hitting set of its leading-monomial supports (`prefix_dimension`).
+    k_i = 0 gives n(i+1); a pass that yields the unit ideal makes that
+    window and every deeper one EMPTY.  `report.basis` is the reduced
+    basis of window i_max.
 
     Entries are exact when F is all order 0 or all monomials (then the
     truncation equals the full ideal cut); the certified value is exact
@@ -223,10 +252,11 @@ def truncated_dim_sequence(
     all_monomial = all(f.is_monomial() for f in F)
     exact = all_order0 or all_monomial
 
-    entries: list[DimEntry] = []
-    for i in range(i_max + 1):
-        basis = buchberger(truncation_generators(F, i), _window_vars(i, n), LEX)
-        entries.append(DimEntry(i, basis_dimension(basis), exact))
+    basis = buchberger(truncation_generators(F, i_max), _window_vars(i_max, n), LEX)
+    entries = [
+        DimEntry(i, prefix_dimension(basis, _window_inputs(orders, i), n * (i + 1)), exact)
+        for i in range(i_max + 1)
+    ]
 
     ratios = [
         Fraction(e.d, e.i + 1) for e in entries if not isinstance(e.d, EmptyDimension)
@@ -336,9 +366,10 @@ SystemInput = Union[SigmaFamily, Sequence[DifferencePolynomial], Sequence[SigmaM
 
 
 def _family_report(family: SigmaFamily, i_max: int, check: bool) -> DimensionReport:
-    value = sigma_dim_family(family, check=check)
-    taus = window_taus(family, i_max)
-    entries = [DimEntry(i, family.n * (i + 1) - t, True) for i, t in enumerate(taus)]
+    # one window pass serves the entries and the check's window ratios
+    taus = window_taus(family, max(i_max, 8 * family.width) if check else i_max)
+    value = sigma_dim_family(family, check=check, taus=taus)
+    entries = [DimEntry(i, family.n * (i + 1) - t, True) for i, t in enumerate(taus[: i_max + 1])]
     report = DimensionReport(
         method="family",
         entries=entries,

@@ -48,6 +48,12 @@ monomials are interreduced into the reduced basis, which is unique for
 the order, so the output is the same as from any other Buchberger.  Only
 that basis is made monic; its leading monomials are unpacked for
 dimensions, and its tails only on the first read of its generators.
+
+After each pass the elements with minimal leading monomials form a
+Groebner basis of the inputs joined so far, and their packed leading
+monomials are kept (`GroebnerBasis.passes`): one run answers the
+dimension of every prefix of the inputs in join order
+(`prefix_dimension`).
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from fractions import Fraction
 from math import gcd, lcm as int_lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .families import EMPTY, EmptyDimension, monomial_krull_dim
+from .families import EmptyDimension, monomial_krull_dim
 from .polynomials import DifferencePolynomial, SigmaMonomial, SigmaVariable
 
 
@@ -104,20 +110,25 @@ class GroebnerBasis:
     Held as `buchberger` leaves it: one (lm, den, int tail) triple per
     generator lm + tail/den, each monomial an int packed with `bits`-bit
     fields over `ring`, the ring's variables from the highest-ranked down.
-    The DifferencePolynomials are built on the first read of `generators`;
-    `basis_dimension` and `leading_monomial_ideal` unpack only the leading
-    monomials."""
+    `passes[k - 1]` holds the packed leading monomials of a minimal
+    Groebner basis of the first k inputs in join order (increasing
+    leading monomial); the list ends with [0] at the first pass that
+    yields the unit ideal.  The DifferencePolynomials are built on the
+    first read of `generators`; `basis_dimension`, `prefix_dimension` and
+    `leading_monomial_ideal` unpack only leading monomials."""
 
-    __slots__ = ("packed", "ring", "bits", "num_vars", "_generators")
+    __slots__ = ("packed", "passes", "ring", "bits", "num_vars", "_generators")
 
     def __init__(
         self,
         packed: list[tuple[int, int, dict]],
+        passes: list[list[int]],
         ring: list[SigmaVariable],
         bits: int,
         num_vars: int,
     ):
         self.packed = packed
+        self.passes = passes
         self.ring = ring
         self.bits = bits
         self.num_vars = num_vars
@@ -487,24 +498,29 @@ def _divisible(m: int, divisors: list[int], guard: int) -> bool:
     return any((mg - d) & guard == guard for d in divisors)
 
 
-def _reduced_basis(polys: list[dict], guard: int, bits: int) -> list[tuple[int, int, dict]] | None:
-    """Reduced Groebner basis of int polynomials as (lm, den, tail)
-    triples sorted by leading monomial, the monic element being
-    lm + tail/den; None for the unit ideal.  Raises _Overflow when a
-    product outgrows its fields.
+def _reduced_basis(
+    polys: list[dict], guard: int, bits: int
+) -> tuple[list[tuple[int, int, dict]], list[list[int]]]:
+    """(reduced Groebner basis, passes) of int polynomials: the basis as
+    (lm, den, tail) triples sorted by leading monomial, the monic element
+    being lm + tail/den, [(0, 1, {})] for the unit ideal; passes as in
+    `GroebnerBasis`.  Raises _Overflow when a product outgrows its fields.
 
     The inputs join in increasing order of their leading monomials, one
     signature-based pass (`_extend`) each.  No two elements share a
     leading monomial: the one of smaller signature would have reduced the
     other.  After a pass the elements whose leading monomial no other
-    divides form the Groebner basis the next pass pairs with; every
-    element stays a reducer.  The last basis is interreduced."""
+    divides form a Groebner basis of the inputs so far, which the next
+    pass pairs with; every element stays a reducer.  The last basis is
+    interreduced."""
     elements: list[tuple[int, int, dict]] = []
     basis: list[tuple[int, int, dict]] = []
+    passes: list[list[int]] = []
     for f in sorted(polys, key=max):
         new = _extend(basis, elements, f, guard, bits)
         if new is None:
-            return None
+            passes.append([0])
+            return [(0, 1, {})], passes
         new = [(lm, lc, tail) for lm, lc, tail, _ in new]
         elements += new
         # a new leading monomial is divisible by no lower one
@@ -513,12 +529,13 @@ def _reduced_basis(polys: list[dict], guard: int, bits: int) -> list[tuple[int, 
             for g in basis + new
             if not any(h is not g and _divides(h[0], g[0], guard) for h in new)
         ]
+        passes.append([g[0] for g in basis])
     out = []
     for g in sorted(basis, key=lambda g: g[0]):
         others = [h for h in basis if h is not g]
         tail, scale = _normal_form(dict(g[2]), others, guard)
         out.append((g[0], g[1] * scale, tail))
-    return out
+    return out, passes
 
 
 def buchberger(
@@ -548,14 +565,12 @@ def buchberger(
     num_vars = F[0].num_vars if F else 0
     ring = _ring(variables, order)
 
-    def run(bits: int) -> list[tuple[int, int, dict]] | None:
+    def run(bits: int) -> tuple[list[tuple[int, int, dict]], list[list[int]]]:
         offset, guard = _layout(ring, bits)
         return _reduced_basis([_pack(f, offset, bits)[0] for f in polys], guard, bits)
 
-    basis, bits = _widening(run)
-    if basis is None:
-        basis = [(0, 1, {})]
-    return GroebnerBasis(basis, ring, bits, num_vars)
+    (basis, passes), bits = _widening(run)
+    return GroebnerBasis(basis, passes, ring, bits, num_vars)
 
 
 def leading_monomial_ideal(G: GroebnerBasis) -> list[SigmaMonomial]:
@@ -568,10 +583,22 @@ def basis_dimension(basis: GroebnerBasis) -> int | EmptyDimension:
     """Krull dimension of k[basis.ring]/(basis), via the leading-monomial
     ideal: the number of variables minus a minimum hitting set of the
     squarefree lm supports.  EMPTY for the unit ideal (zero ring)."""
-    if basis.is_unit_ideal:
-        return EMPTY
-    supports = [[k for k, _ in _fields(lm, basis.ring, basis.bits)] for lm, _, _ in basis.packed]
-    return monomial_krull_dim(supports, len(basis.ring))
+    return prefix_dimension(basis, len(basis.passes), len(basis.ring))
+
+
+def prefix_dimension(basis: GroebnerBasis, k: int, num_vars: int) -> int | EmptyDimension:
+    """Krull dimension of k[V]/(the first k inputs of `basis`'s run in join
+    order), V the num_vars lowest-ranked variables of the ring, which
+    must hold those inputs: num_vars minus a minimum hitting set of the
+    leading-monomial supports after pass k.  The leading monomials of a
+    Groebner basis of polynomials in V lie in V, so the hitting set is
+    the one over V.  num_vars for k = 0; EMPTY once a pass up to k has
+    yielded the unit ideal (its entry [0] has the empty support)."""
+    k = min(k, len(basis.passes))
+    if k == 0:
+        return num_vars
+    supports = [[j for j, _ in _fields(lm, basis.ring, basis.bits)] for lm in basis.passes[k - 1]]
+    return monomial_krull_dim(supports, num_vars)
 
 
 def eliminate(

@@ -14,7 +14,9 @@ transfer table on width - 1 columns), the transfer table read as a graph
 (the graph the library solved before its quotient by pending members),
 Groebner bases by the plain Buchberger loop the library used before packed
 exponents and the pair heap, with divisibility, quotients, lcms and
-coprimality on SigmaMonomials, F_p solution sets by evaluating every
+coprimality on SigmaMonomials, truncated dimension sequences by one
+Groebner basis per window (the ladder the library ran before reading every
+window off one run), F_p solution sets by evaluating every
 equation on the whole window grid (the enumeration the library used before
 the cell-by-cell search).
 """
@@ -392,6 +394,27 @@ def oracle_buchberger(F, order=LEX) -> list:
         reduced.append(_oracle_monic(oracle_reduce(g, others, order), order))
     reduced.sort(key=lambda g: order.key(order.leading(g)[0]))
     return reduced
+
+
+def oracle_dim_sequence(F, i_max: int) -> tuple:
+    """(d_0, ..., d_i_max, reduced basis of window i_max) by one
+    `buchberger` run per window on that window's truncation generators,
+    each d_i the window's n(i+1) variables minus an exhaustive minimum
+    hitting set of the basis's leading-monomial supports (EMPTY for the
+    unit ideal)."""
+    from sigmadim import EMPTY, buchberger, leading_monomial_ideal
+    from sigmadim.engine import truncation_generators
+    from sigmadim.polynomials import SigmaVariable
+
+    F = [f for f in F if not f.is_zero]
+    n = F[0].num_vars
+    d, basis = [], None
+    for i in range(i_max + 1):
+        ring = [SigmaVariable(a, j) for a in range(i + 1) for j in range(1, n + 1)]
+        basis = buchberger(truncation_generators(F, i), ring, LEX)
+        size = brute_min_hitting_set_size(m.support() for m in leading_monomial_ideal(basis))
+        d.append(EMPTY if size is None else n * (i + 1) - size)
+    return d, basis
 
 
 def oracle_enumerate(F, p: int, i: int) -> tuple:

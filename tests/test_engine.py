@@ -213,7 +213,7 @@ class TestCertificateChecks:
 
         # d_i = i + 2 for an order-0 system: not (i + 1) * d_0
         monkeypatch.setattr(
-            sigmadim.engine, "basis_dimension", lambda basis: len(basis.ring) // 2 + 1
+            sigmadim.engine, "prefix_dimension", lambda basis, k, num_vars: num_vars // 2 + 1
         )
         with pytest.raises(CertificateError):
             truncated_dim_sequence([poly("y1*y2", 2)], 3)
@@ -235,6 +235,23 @@ class TestCertificateChecks:
             calls.clear()
             sigma_dim_family(fam, check=True)
             assert len(calls) == 1, fam
+
+    @pytest.mark.parametrize("i_max", [3, 40])
+    def test_checked_family_report_walks_the_windows_once(self, monkeypatch, i_max):
+        import sigmadim.families
+
+        real = sigmadim.families.iter_window_taus
+        passes = []
+
+        def counting(family, depth):
+            passes.append(depth)
+            return real(family, depth)
+
+        monkeypatch.setattr(sigmadim.families, "iter_window_taus", counting)
+        fam = SigmaFamily(2, [[(0, 1), (1, 2)], [(0, 2), (2, 1)]])
+        rep = sigma_dim(fam, i_max=i_max, check=True)
+        assert passes == [max(i_max, 8 * fam.width)]
+        assert rep.d_sequence() == [window_dim(fam, i) for i in range(i_max + 1)]
 
     def test_periodic_witness_under_optimize(self):
         src = str(Path(sigmadim.__file__).resolve().parents[1])
@@ -325,7 +342,7 @@ class TestMonomialize:
         for module in (sigmadim.groebner, sigmadim.engine):
             monkeypatch.setattr(module, "buchberger", counting)
         report = sigma_dim(INTRO(), i_max=k)
-        assert len(calls) == k + 1
+        assert len(calls) == 1
         assert report.family == monomialize(INTRO(), k)
         assert report.family_value == sigma_dim_family(report.family)
 
