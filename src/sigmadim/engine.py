@@ -76,7 +76,7 @@ class DimensionReport:
     family_value: Optional[Fraction] = None
     truncation_depth: Optional[int] = None
     linear_tail: Optional[LinearTail] = field(default=None)
-    # reduced Groebner basis of the deepest truncation window
+    # Groebner basis of the deepest truncation window (reduced on first read)
     basis: Optional[GroebnerBasis] = field(default=None, repr=False, compare=False)
 
     def d_sequence(self) -> list[Union[int, EmptyDimension]]:
@@ -235,8 +235,9 @@ def truncated_dim_sequence(
     Groebner basis of window i's truncation: d_i = n(i+1) minus a minimum
     hitting set of its leading-monomial supports (`prefix_dimension`).
     k_i = 0 gives n(i+1); a pass that yields the unit ideal makes that
-    window and every deeper one EMPTY.  `report.basis` is the reduced
-    basis of window i_max.
+    window and every deeper one EMPTY.  `report.basis` is the Groebner
+    basis of window i_max; only its leading monomials are read here, so
+    it is never interreduced unless a caller reads its generators.
 
     Entries are exact when F is all order 0 or all monomials (then the
     truncation equals the full ideal cut); the certified value is exact

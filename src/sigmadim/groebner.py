@@ -43,11 +43,16 @@ zero reduction on a homogeneous regular sequence) does not cover these
 affine lex inputs, but on the coupled system's truncation windows 0-6
 no S-pair reduces to zero; where the inputs are not regular, some do.
 
-The elements form a Groebner basis; the ones with minimal leading
-monomials are interreduced into the reduced basis, which is unique for
-the order, so the output is the same as from any other Buchberger.  Only
-that basis is made monic; its leading monomials are unpacked for
-dimensions, and its tails only on the first read of its generators.
+An element joins after top reduction only: its tail is never reduced
+in the passes.  Leading monomials, signatures and the criteria do not
+depend on the tails, so tail reduction is optional (Eder & Faugere
+2017), and the dimensions read none of them.  The elements form a
+Groebner basis; the ones with minimal leading monomials are kept as the
+run's minimal basis.  Only when the basis is read (`GroebnerBasis.packed`,
+so its generators too) is that minimal basis interreduced into the
+reduced basis, which is unique for the order, so the output is the same
+as from any other Buchberger; only that basis is made monic.  Dimensions
+unpack leading monomials alone.
 
 After each pass the elements with minimal leading monomials form a
 Groebner basis of the inputs joined so far, and their packed leading
@@ -104,35 +109,54 @@ def elimination_order(eliminate_vars: Iterable[SigmaVariable]) -> MonomialOrder:
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic generators, no leading monomial
-    divides another, every tail reduced.
+    """Groebner basis of (F) from one `buchberger` run.
 
-    Held as `buchberger` leaves it: one (lm, den, int tail) triple per
-    generator lm + tail/den, each monomial an int packed with `bits`-bit
-    fields over `ring`, the ring's variables from the highest-ranked down.
-    `passes[k - 1]` holds the packed leading monomials of a minimal
-    Groebner basis of the first k inputs in join order (increasing
-    leading monomial); the list ends with [0] at the first pass that
-    yields the unit ideal.  The DifferencePolynomials are built on the
-    first read of `generators`; `basis_dimension`, `prefix_dimension` and
-    `leading_monomial_ideal` unpack only leading monomials."""
+    Held as the run leaves it: `minimal` is a minimal Groebner basis, one
+    primitive (lm, lc, int tail) triple per element, sorted by leading
+    monomial, with tails as the signature passes left them (not reduced);
+    each monomial is an int packed with `bits`-bit fields over `ring`, the
+    ring's variables from the highest-ranked down.  `passes[k - 1]` holds
+    the packed leading monomials of a minimal Groebner basis of the first
+    k inputs in join order (increasing leading monomial); the list ends
+    with [0] at the first pass that yields the unit ideal.
 
-    __slots__ = ("packed", "passes", "ring", "bits", "num_vars", "_generators")
+    `packed` is the reduced basis (monic generators, no leading monomial
+    divides another, every tail reduced) as (lm, den, int tail) triples,
+    the generator being lm + tail/den.  It is interreduced from `minimal`
+    on its first read; if that overflows, the run is made again with
+    twice the bits.  The DifferencePolynomials are built on the first read
+    of `generators`.  `is_unit_ideal`, `len`, `basis_dimension`,
+    `prefix_dimension` and `leading_monomial_ideal` read leading monomials
+    only, so they build neither."""
+
+    __slots__ = ("minimal", "passes", "ring", "bits", "num_vars", "_run", "_packed", "_generators")
 
     def __init__(
         self,
-        packed: list[tuple[int, int, dict]],
+        minimal: list[tuple[int, int, dict]],
         passes: list[list[int]],
         ring: list[SigmaVariable],
         bits: int,
         num_vars: int,
+        run: Callable[[int], tuple[list[tuple[int, int, dict]], list[list[int]]]],
     ):
-        self.packed = packed
+        self.minimal = minimal
         self.passes = passes
         self.ring = ring
         self.bits = bits
         self.num_vars = num_vars
+        self._run = run
+        self._packed = None
         self._generators = None
+
+    @property
+    def packed(self) -> list[tuple[int, int, dict]]:
+        while self._packed is None:
+            try:
+                self._packed = _interreduce(self.minimal, _layout(self.ring, self.bits)[1])
+            except _Overflow:
+                (self.minimal, self.passes), self.bits = _widening(self._run, 2 * self.bits)
+        return self._packed
 
     @property
     def generators(self) -> tuple[DifferencePolynomial, ...]:
@@ -150,13 +174,13 @@ class GroebnerBasis:
 
     @property
     def is_unit_ideal(self) -> bool:
-        return len(self.packed) == 1 and not self.packed[0][0]
+        return len(self.minimal) == 1 and not self.minimal[0][0]
 
     def __iter__(self):
         return iter(self.generators)
 
     def __len__(self) -> int:
-        return len(self.packed)
+        return len(self.minimal)
 
     def __repr__(self) -> str:
         return f"GroebnerBasis({[str(g) for g in self.generators]})"
@@ -197,10 +221,9 @@ class _Overflow(Exception):
     """A packed exponent outgrew its field."""
 
 
-def _widening(run: Callable[[int], object]) -> tuple[object, int]:
-    """(run(bits), bits) for the first field width, doubling from
-    _FIRST_BITS, on which run does not overflow."""
-    bits = _FIRST_BITS
+def _widening(run: Callable[[int], object], bits: int = _FIRST_BITS) -> tuple[object, int]:
+    """(run(bits), bits) for the first field width, doubling from `bits`,
+    on which run does not overflow."""
     while True:
         try:
             return run(bits), bits
@@ -442,7 +465,8 @@ def _extend(
     An S-polynomial is top-reduced regularly (`_normal_form` with signed
     divisors).  A zero result records a syzygy signature; a result that
     some q * g matches in both leading monomial and signature (singular
-    top-reducible) is discarded; the rest are fully reduced and join.
+    top-reducible) is discarded; the rest join as they are, made
+    primitive, their tails unreduced.
     Reducers are tried earlier ones first, each group shortest tail
     first."""
     syzygies = [lm for lm, _, _ in lower]
@@ -457,9 +481,6 @@ def _extend(
         if lm is None:
             syzygies.append(sig)
         elif not any(_divides(hlm, lm, guard) and lm - hlm + ht == sig for hlm, _, _, ht in new):
-            c = r.pop(lm)
-            r, scale = _normal_form(r, reducers, guard, signed, sig)
-            r[lm] = c * scale
             lm, lc, tail = _primitive(r)
             if not lm:
                 return None
@@ -498,12 +519,12 @@ def _divisible(m: int, divisors: list[int], guard: int) -> bool:
     return any((mg - d) & guard == guard for d in divisors)
 
 
-def _reduced_basis(
+def _minimal_basis(
     polys: list[dict], guard: int, bits: int
 ) -> tuple[list[tuple[int, int, dict]], list[list[int]]]:
-    """(reduced Groebner basis, passes) of int polynomials: the basis as
-    (lm, den, tail) triples sorted by leading monomial, the monic element
-    being lm + tail/den, [(0, 1, {})] for the unit ideal; passes as in
+    """(minimal Groebner basis, passes) of int polynomials: the basis as
+    primitive (lm, lc, tail) triples sorted by leading monomial, tails
+    not reduced, [(0, 1, {})] for the unit ideal; passes as in
     `GroebnerBasis`.  Raises _Overflow when a product outgrows its fields.
 
     The inputs join in increasing order of their leading monomials, one
@@ -511,8 +532,7 @@ def _reduced_basis(
     leading monomial: the one of smaller signature would have reduced the
     other.  After a pass the elements whose leading monomial no other
     divides form a Groebner basis of the inputs so far, which the next
-    pass pairs with; every element stays a reducer.  The last basis is
-    interreduced."""
+    pass pairs with; every element stays a reducer."""
     elements: list[tuple[int, int, dict]] = []
     basis: list[tuple[int, int, dict]] = []
     passes: list[list[int]] = []
@@ -530,12 +550,22 @@ def _reduced_basis(
             if not any(h is not g and _divides(h[0], g[0], guard) for h in new)
         ]
         passes.append([g[0] for g in basis])
+    return sorted(basis, key=lambda g: g[0]), passes
+
+
+def _interreduce(minimal: list[tuple[int, int, dict]], guard: int) -> list[tuple[int, int, dict]]:
+    """The reduced basis of the minimal Groebner basis `minimal` (sorted
+    by leading monomial) as (lm, den, tail) triples, the monic element
+    being lm + tail/den: each tail in normal form modulo the other
+    elements.  No monomial below lm(g) is divisible by lm(g), so that is
+    the normal form modulo the whole basis, which is unique.
+    Raises _Overflow when a product outgrows its fields."""
     out = []
-    for g in sorted(basis, key=lambda g: g[0]):
-        others = [h for h in basis if h is not g]
+    for g in minimal:
+        others = [h for h in minimal if h is not g]
         tail, scale = _normal_form(dict(g[2]), others, guard)
         out.append((g[0], g[1] * scale, tail))
-    return out, passes
+    return out
 
 
 def buchberger(
@@ -543,14 +573,15 @@ def buchberger(
     variables: Iterable[SigmaVariable] | None = None,
     order: MonomialOrder = LEX,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of (F).
+    """Groebner basis of (F), read as its reduced basis.
 
     The ring's variables are ranked once by the order, every monomial is
     packed into an int and every coefficient is an int: the input's
     denominators are cleared on entry and basis elements are kept
     primitive.  A run whose exponents outgrow their fields starts again
-    with wider ones.  The result is monic over the rationals; its
-    generators are built on first read.  The unit ideal yields the basis
+    with wider ones.  The run yields a minimal basis; it is interreduced
+    into the reduced basis, monic over the rationals, on the first read
+    of `packed` or of the generators.  The unit ideal yields the basis
     [1]; the zero ideal yields []."""
     polys = [f for f in F if not f.is_zero]
     if variables is not None:
@@ -567,16 +598,17 @@ def buchberger(
 
     def run(bits: int) -> tuple[list[tuple[int, int, dict]], list[list[int]]]:
         offset, guard = _layout(ring, bits)
-        return _reduced_basis([_pack(f, offset, bits)[0] for f in polys], guard, bits)
+        return _minimal_basis([_pack(f, offset, bits)[0] for f in polys], guard, bits)
 
-    (basis, passes), bits = _widening(run)
-    return GroebnerBasis(basis, passes, ring, bits, num_vars)
+    (minimal, passes), bits = _widening(run)
+    return GroebnerBasis(minimal, passes, ring, bits, num_vars, run)
 
 
 def leading_monomial_ideal(G: GroebnerBasis) -> list[SigmaMonomial]:
-    """Leading monomials of the reduced basis: the minimal generators of
-    lm((G)) over the ambient variable set."""
-    return [_monomial(lm, G.ring, G.bits) for lm, _, _ in G.packed]
+    """Leading monomials of the minimal basis, which are those of the
+    reduced basis: the minimal generators of lm((G)) over the ambient
+    variable set."""
+    return [_monomial(lm, G.ring, G.bits) for lm, _, _ in G.minimal]
 
 
 def basis_dimension(basis: GroebnerBasis) -> int | EmptyDimension:

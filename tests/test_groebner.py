@@ -432,6 +432,7 @@ def test_packed_dimension_matches_generators(texts, depth):
         packed = basis_dimension(basis)
         lms = leading_monomial_ideal(basis)
         assert basis._generators is None, "the packed readers built the generators"
+        assert basis._packed is None, "the leading-monomial readers interreduced the basis"
         read = [LEX.leading(g)[0] for g in basis.generators]
         assert lms == read, i
         assert packed == monomial_krull_dim([m.support() for m in read], len(variables)), i

@@ -192,6 +192,7 @@ def test_wide_bases_read_their_leading_monomials(texts, n):
     lms = leading_monomial_ideal(basis)
     dim = basis_dimension(basis)
     assert basis._generators is None, "the packed readers built the generators"
+    assert basis._packed is None, "the leading-monomial readers interreduced the basis"
     read = [LEX.leading(g)[0] for g in basis.generators]
     assert lms == read
     assert dim == monomial_krull_dim([m.support() for m in read], len(variables))
