@@ -95,7 +95,10 @@ def _report_lines(report: DimensionReport) -> list[str]:
     else:
         lines.append(f"sigma-dim (upper bound) ≤ {_frac_text(report.certified_value)}")
     if report.family is not None:
-        lines.append(f"monomialized family (depth {report.truncation_depth}):")
+        if report.truncation_depth is None:
+            lines.append("family:")
+        else:
+            lines.append(f"monomialized family (depth {report.truncation_depth}):")
         for s in report.family.members:
             lines.append(f"  {s!r}")
         if report.family_value is not None:
@@ -123,7 +126,7 @@ def _cmd_sdim(args) -> int:
     elif args.monomial:
         n = _infer_nvars(args.monomial, args.nvars)
         polys = [parse_polynomial(t, n) for t in args.monomial]
-        bad = [p for p in polys if len(p.terms) > 1]
+        bad = [p for p in polys if len(p.terms) != 1]
         if bad:
             raise ParseError(f"not a monomial: {bad[0]}", 0)
         report = sigma_dim(polys, i_max=args.imax)

@@ -36,7 +36,7 @@ from .families import (
     pending_graph,
     window_taus,
 )
-from .groebner import LEX, GroebnerBasis, buchberger, eliminate, leading_monomial_ideal, prefix_dimension
+from .groebner import LEX, GroebnerBasis, buchberger, eliminate, prefix_dimension
 from .meancycle import CertificateError, extract_min_mean_cycle, minimum_cycle_mean
 from .polynomials import DifferencePolynomial, SigmaMonomial, SigmaVariable
 
@@ -290,10 +290,11 @@ def truncated_dim_sequence(
 
 
 def _leading_family(basis: GroebnerBasis, n: int) -> SigmaFamily:
+    """The family of the supports of the minimal basis's leading
+    monomials, read off their packed fields."""
     if basis.is_unit_ideal:
         raise UnitIdealError("truncation is the unit ideal")
-    lms = leading_monomial_ideal(basis)
-    return family_from_monomials([m.squarefree_part() for m in lms], n)
+    return SigmaFamily(n, basis.leading_supports())
 
 
 def monomialize(F: Sequence[DifferencePolynomial], i_max: int) -> SigmaFamily:

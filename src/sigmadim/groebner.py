@@ -69,8 +69,9 @@ from fractions import Fraction
 from math import gcd, lcm as int_lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .families import EmptyDimension, monomial_krull_dim
+from .families import EMPTY, EmptyDimension
 from .polynomials import DifferencePolynomial, SigmaMonomial, SigmaVariable
+from .transversal import minimum_hitting_mask
 
 
 class MonomialOrder:
@@ -125,9 +126,9 @@ class GroebnerBasis:
     the generator being lm + tail/den.  It is interreduced from `minimal`
     on its first read; if that overflows, the run is made again with
     twice the bits.  The DifferencePolynomials are built on the first read
-    of `generators`.  `is_unit_ideal`, `len`, `basis_dimension`,
-    `prefix_dimension` and `leading_monomial_ideal` read leading monomials
-    only, so they build neither."""
+    of `generators`.  `is_unit_ideal`, `len`, `leading_supports`,
+    `basis_dimension`, `prefix_dimension` and `leading_monomial_ideal` read
+    leading monomials only, so they build neither."""
 
     __slots__ = ("minimal", "passes", "ring", "bits", "num_vars", "_run", "_packed", "_generators")
 
@@ -171,6 +172,11 @@ class GroebnerBasis:
                 for lm, den, tail in self.packed
             )
         return self._generators
+
+    def leading_supports(self) -> list[list[SigmaVariable]]:
+        """The variables of each minimal element's leading monomial."""
+        ring = self.ring
+        return [[ring[k] for k, _ in _fields(lm, ring, self.bits)] for lm, _, _ in self.minimal]
 
     @property
     def is_unit_ideal(self) -> bool:
@@ -622,15 +628,19 @@ def prefix_dimension(basis: GroebnerBasis, k: int, num_vars: int) -> int | Empty
     """Krull dimension of k[V]/(the first k inputs of `basis`'s run in join
     order), V the num_vars lowest-ranked variables of the ring, which
     must hold those inputs: num_vars minus a minimum hitting set of the
-    leading-monomial supports after pass k.  The leading monomials of a
+    leading-monomial supports after pass k, each support the mask of the
+    guard bits above its nonzero fields.  The leading monomials of a
     Groebner basis of polynomials in V lie in V, so the hitting set is
     the one over V.  num_vars for k = 0; EMPTY once a pass up to k has
     yielded the unit ideal (its entry [0] has the empty support)."""
     k = min(k, len(basis.passes))
     if k == 0:
         return num_vars
-    supports = [[j for j, _ in _fields(lm, basis.ring, basis.bits)] for lm in basis.passes[k - 1]]
-    return monomial_krull_dim(supports, num_vars)
+    guard = _layout(basis.ring, basis.bits)[1]
+    ones = guard >> basis.bits
+    # a field is nonzero exactly when subtracting its low bit leaves its guard bit set
+    hitting = minimum_hitting_mask(((lm | guard) - ones) & guard for lm in basis.passes[k - 1])
+    return EMPTY if hitting is None else num_vars - hitting.bit_count()
 
 
 def eliminate(

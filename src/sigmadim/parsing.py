@@ -18,13 +18,73 @@ from __future__ import annotations
 
 from fractions import Fraction
 from .families import SigmaFamily
-from .polynomials import DifferencePolynomial
+from .polynomials import DifferencePolynomial, SigmaMonomial, SigmaVariable
 
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+# While parsing, a polynomial is a dict from exponent tuples to nonzero int
+# or Fraction coefficients; an exponent tuple is the sorted tuple of
+# (SigmaVariable, exponent > 0) pairs that a SigmaMonomial holds, () for 1.
+_Terms = dict
+
+
+def _add(a: _Terms, b: _Terms, sign: int) -> _Terms:
+    """a + sign * b."""
+    out = dict(a)
+    for m, c in b.items():
+        v = out.get(m, 0) + sign * c
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _monomial_product(a: tuple, b: tuple) -> tuple:
+    if not a:
+        return b
+    if not b:
+        return a
+    merged = dict(a)
+    for v, e in b:
+        merged[v] = merged.get(v, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+def _mul(a: _Terms, b: _Terms) -> _Terms:
+    out: _Terms = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _monomial_product(m1, m2)
+            v = out.get(m, 0) + c1 * c2
+            if v:
+                out[m] = v
+            else:
+                out.pop(m, None)
+    return out
+
+
+def _pow(base: _Terms, k: int) -> _Terms:
+    out: _Terms = {(): 1}
+    while k:
+        if k & 1:
+            out = _mul(out, base)
+        k >>= 1
+        if k:
+            base = _mul(base, base)
+    return out
+
+
+def _shift(a: _Terms, ell: int) -> _Terms:
+    """s^ell applied to every variable: the order of a tuple is kept."""
+    if ell == 0:
+        return a
+    return {tuple((v.shifted(ell), e) for v, e in m): c for m, c in a.items()}
 
 
 class _Parser:
@@ -58,34 +118,35 @@ class _Parser:
             raise self.error("expected a number")
         return int(self.text[start : self.pos])
 
-    def expr(self) -> DifferencePolynomial:
+    def expr(self) -> _Terms:
         sign = 1
         if self.peek() in ("+", "-"):
             sign = -1 if self.peek() == "-" else 1
             self.pos += 1
-        out = self.term().scale(sign)
+        out = self.term()
+        if sign < 0:
+            out = {m: -c for m, c in out.items()}
         while self.peek() in ("+", "-"):
             op = self.peek()
             self.pos += 1
-            rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
+            out = _add(out, self.term(), 1 if op == "+" else -1)
         return out
 
-    def term(self) -> DifferencePolynomial:
+    def term(self) -> _Terms:
         out = self.factor()
         while self.peek() == "*":
             self.pos += 1
-            out = out * self.factor()
+            out = _mul(out, self.factor())
         return out
 
-    def factor(self) -> DifferencePolynomial:
+    def factor(self) -> _Terms:
         base = self.atom()
         if self.peek() == "^":
             self.pos += 1
-            return base ** self.nat()
+            return _pow(base, self.nat())
         return base
 
-    def atom(self) -> DifferencePolynomial:
+    def atom(self) -> _Terms:
         ch = self.peek()
         if ch.isdigit():
             num = self.nat()
@@ -94,14 +155,16 @@ class _Parser:
                 den = self.nat()
                 if den == 0:
                     raise self.error("zero denominator")
-                return DifferencePolynomial.constant(Fraction(num, den), self.num_vars)
-            return DifferencePolynomial.constant(num, self.num_vars)
+                c = Fraction(num, den)
+            else:
+                c = num
+            return {(): c} if c else {}
         if ch == "y":
             self.pos += 1
             index = self.nat()
             if index < 1 or index > self.num_vars:
                 raise self.error(f"variable index {index} outside 1..{self.num_vars}")
-            return DifferencePolynomial.variable(0, index, self.num_vars)
+            return {((SigmaVariable(0, index), 1),): 1}
         if ch == "s":
             self.pos += 1
             power = 1
@@ -111,7 +174,7 @@ class _Parser:
             self.take("(")
             inner = self.expr()
             self.take(")")
-            return inner.shifted(power)
+            return _shift(inner, power)
         if ch == "(":
             self.pos += 1
             inner = self.expr()
@@ -121,13 +184,14 @@ class _Parser:
 
 
 def parse_polynomial(text: str, num_vars: int) -> DifferencePolynomial:
-    """Parse the grammar above into an exact difference polynomial."""
+    """Parse the grammar above into an exact difference polynomial: one
+    term dict, made into one (validated) DifferencePolynomial at the end."""
     parser = _Parser(text, num_vars)
-    out = parser.expr()
+    terms = parser.expr()
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error("unexpected trailing input")
-    return out
+    return DifferencePolynomial({SigmaMonomial._make(m): c for m, c in terms.items()}, num_vars)
 
 
 def polynomial_text(f: DifferencePolynomial) -> str:

@@ -12,12 +12,17 @@ Representation:
   DifferencePolynomial   map from monomials to nonzero Fraction coefficients
 
 Coefficients are `fractions.Fraction`, so all arithmetic is exact.
+
+The constructors validate their input.  Results that are valid by
+construction (shifts, squarefree parts, the parser's monomials) are built
+through `_make`, which stores its argument as given.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 
 class SigmaVariable(NamedTuple):
@@ -59,6 +64,15 @@ class SigmaMonomial:
         self.exps: tuple[tuple[SigmaVariable, int], ...] = tuple(cleaned)
         self._hash = hash(self.exps)
 
+    @classmethod
+    def _make(cls, exps: tuple[tuple[SigmaVariable, int], ...]) -> "SigmaMonomial":
+        """The monomial with these exps, already sorted with positive
+        exponents; not validated."""
+        m = object.__new__(cls)
+        m.exps = exps
+        m._hash = hash(exps)
+        return m
+
     @staticmethod
     def variable(shift: int, index: int) -> "SigmaMonomial":
         return SigmaMonomial(((SigmaVariable(shift, index), 1),))
@@ -71,7 +85,7 @@ class SigmaMonomial:
         return frozenset(v for v, _ in self.exps)
 
     def squarefree_part(self) -> "SigmaMonomial":
-        return SigmaMonomial((v, 1) for v, _ in self.exps)
+        return SigmaMonomial._make(tuple((v, 1) for v, _ in self.exps))
 
     def order(self) -> int | None:
         """Largest shift appearing, or None for the constant monomial 1."""
@@ -82,7 +96,9 @@ class SigmaMonomial:
     def shifted(self, ell: int) -> "SigmaMonomial":
         if ell == 0:
             return self
-        return SigmaMonomial((v.shifted(ell), e) for v, e in self.exps)
+        if ell < 0:
+            raise ValueError("shift must be non-negative")
+        return SigmaMonomial._make(tuple((v.shifted(ell), e) for v, e in self.exps))
 
     def __mul__(self, other: "SigmaMonomial") -> "SigmaMonomial":
         merged = dict(self.exps)
@@ -136,6 +152,15 @@ class DifferencePolynomial:
             cleaned[m] = c
         self.terms: dict[SigmaMonomial, Fraction] = cleaned
         self.num_vars = num_vars
+
+    @classmethod
+    def _make(cls, terms: dict[SigmaMonomial, Fraction], num_vars: int) -> "DifferencePolynomial":
+        """The polynomial with these terms, nonzero Fractions on monomials
+        in the ring's variables, and num_vars >= 0; not validated."""
+        f = object.__new__(cls)
+        f.terms = terms
+        f.num_vars = num_vars
+        return f
 
     # -- constructors ------------------------------------------------------
 
@@ -236,7 +261,7 @@ class DifferencePolynomial:
             raise ValueError("shift must be non-negative")
         if ell == 0:
             return self
-        return DifferencePolynomial(
+        return DifferencePolynomial._make(
             {m.shifted(ell): c for m, c in self.terms.items()}, self.num_vars
         )
 

@@ -18,7 +18,11 @@ coprimality on SigmaMonomials, truncated dimension sequences by one
 Groebner basis per window (the ladder the library ran before reading every
 window off one run), F_p solution sets by evaluating every
 equation on the whole window grid (the enumeration the library used before
-the cell-by-cell search).
+the cell-by-cell search), minimum hitting sets by branch and bound on
+frozensets (the search the library ran before its int-mask kernel), and
+polynomial texts by a parser that evaluates every node with
+DifferencePolynomial arithmetic (the parser the library used before it
+built one term dict).
 """
 
 from __future__ import annotations
@@ -445,3 +449,183 @@ def oracle_enumerate(F, p: int, i: int) -> tuple:
         tuple((s // p ** (ncells - 1 - k)) % p for k in range(ncells))
         for s in np.nonzero(ok)[0].tolist()
     )
+
+
+def _oracle_normalize(sets):
+    pool = sorted({frozenset(s) for s in sets}, key=lambda s: (len(s), sorted(s)))
+    if pool and not pool[0]:
+        return None
+    kept = []
+    for s in pool:
+        if not any(k <= s for k in kept):
+            kept.append(s)
+    return kept
+
+
+def _oracle_greedy_cover(constraints) -> set:
+    chosen = set()
+    remaining = list(constraints)
+    while remaining:
+        counts = {}
+        for s in remaining:
+            for x in s:
+                counts[x] = counts.get(x, 0) + 1
+        best = max(sorted(counts), key=lambda x: counts[x])
+        chosen.add(best)
+        remaining = [s for s in remaining if best not in s]
+    return chosen
+
+
+def _oracle_packing_bound(constraints) -> int:
+    used = set()
+    count = 0
+    for s in sorted(constraints, key=lambda s: (len(s), sorted(s))):
+        if not (s & used):
+            count += 1
+            used |= s
+    return count
+
+
+def oracle_minimum_hitting_set(sets):
+    """An optimal hitting set by branch and bound on frozensets (None if
+    some constraint is empty): dominance elimination, unit propagation, a
+    greedy upper bound and a disjoint-packing lower bound, with no
+    bitmasks (the search the library ran before its int-mask kernel)."""
+    constraints = _oracle_normalize(sets)
+    if constraints is None:
+        return None
+    if not constraints:
+        return frozenset()
+    best = _oracle_greedy_cover(constraints)
+
+    def search(remaining, chosen):
+        nonlocal best
+        while True:
+            units = [s for s in remaining if len(s) == 1]
+            if not units:
+                break
+            for s in units:
+                chosen |= s
+            forced = set().union(*units)
+            remaining = [s for s in remaining if not (s & forced)]
+        if not remaining:
+            if len(chosen) < len(best):
+                best = set(chosen)
+            return
+        if len(chosen) + _oracle_packing_bound(remaining) >= len(best):
+            return
+        target = min(remaining, key=lambda s: (len(s), sorted(s)))
+        for x in sorted(target):
+            search([s for s in remaining if x not in s], chosen | {x})
+
+    search(constraints, set())
+    return frozenset(best)
+
+
+class _OracleParser:
+    """The polynomial grammar of `sigmadim.parsing`, evaluated with
+    DifferencePolynomial arithmetic at every node (the parser the library
+    used before it built one term dict)."""
+
+    def __init__(self, text: str, num_vars: int):
+        self.text = text
+        self.pos = 0
+        self.num_vars = num_vars
+
+    def error(self, message: str):
+        from sigmadim.parsing import ParseError
+
+        return ParseError(message, self.pos)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch: str) -> None:
+        if self.peek() != ch:
+            raise self.error(f"expected '{ch}'")
+        self.pos += 1
+
+    def nat(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise self.error("expected a number")
+        return int(self.text[start : self.pos])
+
+    def expr(self) -> DifferencePolynomial:
+        sign = 1
+        if self.peek() in ("+", "-"):
+            sign = -1 if self.peek() == "-" else 1
+            self.pos += 1
+        out = self.term().scale(sign)
+        while self.peek() in ("+", "-"):
+            op = self.peek()
+            self.pos += 1
+            rhs = self.term()
+            out = out + rhs if op == "+" else out - rhs
+        return out
+
+    def term(self) -> DifferencePolynomial:
+        out = self.factor()
+        while self.peek() == "*":
+            self.pos += 1
+            out = out * self.factor()
+        return out
+
+    def factor(self) -> DifferencePolynomial:
+        base = self.atom()
+        if self.peek() == "^":
+            self.pos += 1
+            return base ** self.nat()
+        return base
+
+    def atom(self) -> DifferencePolynomial:
+        ch = self.peek()
+        if ch.isdigit():
+            num = self.nat()
+            if self.peek() == "/":
+                self.pos += 1
+                den = self.nat()
+                if den == 0:
+                    raise self.error("zero denominator")
+                return DifferencePolynomial.constant(Fraction(num, den), self.num_vars)
+            return DifferencePolynomial.constant(num, self.num_vars)
+        if ch == "y":
+            self.pos += 1
+            index = self.nat()
+            if index < 1 or index > self.num_vars:
+                raise self.error(f"variable index {index} outside 1..{self.num_vars}")
+            return DifferencePolynomial.variable(0, index, self.num_vars)
+        if ch == "s":
+            self.pos += 1
+            power = 1
+            if self.peek() == "^":
+                self.pos += 1
+                power = self.nat()
+            self.take("(")
+            inner = self.expr()
+            self.take(")")
+            return inner.shifted(power)
+        if ch == "(":
+            self.pos += 1
+            inner = self.expr()
+            self.take(")")
+            return inner
+        raise self.error("expected a literal, variable, shift, or '('")
+
+
+def oracle_parse_polynomial(text: str, num_vars: int) -> DifferencePolynomial:
+    """`parse_polynomial` by `_OracleParser`: same grammar, same errors."""
+    parser = _OracleParser(text, num_vars)
+    out = parser.expr()
+    parser.skip_ws()
+    if parser.pos != len(text):
+        raise parser.error("unexpected trailing input")
+    return out

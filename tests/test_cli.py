@@ -146,6 +146,21 @@ class TestVerbs:
         data = run_json(["sdim", "--family", str(fam), "--imax", "4"])
         assert data["result"]["certified"]["value"] == {"num": "1", "den": "2"}
 
+    def test_family_label_of_a_given_family(self, tmp_path):
+        fam = tmp_path / "family.txt"
+        fam.write_text("{(0,1),(1,1)}\n")
+        for argv in (["sdim", "--family", str(fam)], ["sdim", "--monomial", "y1*y2"]):
+            code, out, _ = run(argv + ["--imax", "2"])
+            assert code == 0
+            assert "family:" in out.splitlines()
+            assert "monomialized" not in out
+
+    def test_family_label_of_a_truncation(self):
+        code, out, _ = run(["sdim", "y1*s(y1)", "y1*y2 - y2*s(y2)", "--imax", "3"])
+        assert code == 0
+        assert "monomialized family (depth 3):" in out.splitlines()
+        assert "family:" not in out.splitlines()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -210,6 +225,13 @@ class TestExitCodes:
     def test_unit_ideal(self):
         code, _, err = run(["sdim", "--monomial", "1", "--imax", "3"])
         assert code == 4
+
+    @pytest.mark.parametrize("text", ["0", "y1 - y1", "y1 + 1"])
+    def test_monomial_must_have_one_term(self, text):
+        code, out, err = run(["sdim", "--monomial", text, "--imax", "3"])
+        assert code == 2
+        assert out == ""
+        assert "not a monomial" in err
 
     @pytest.mark.parametrize("cells", ["{(0,3)}", "{(-1,1)}", "{(0,0)}", "{(0,2),(0,3)}"])
     def test_eliminate_keep_outside_ring(self, cells):

@@ -103,3 +103,54 @@ def test_order_zero_check_reads_the_run(monkeypatch):
     monkeypatch.setattr(sigmadim.engine, "buchberger", first_pass_only)
     with pytest.raises(CertificateError):
         truncated_dim_sequence([poly("y1*y2", 2)], 3)
+
+
+def _ladder_basis(F, i_max: int):
+    from sigmadim.engine import _window_vars, truncation_generators
+    from sigmadim.groebner import LEX, buchberger
+
+    return buchberger(truncation_generators(F, i_max), _window_vars(i_max, F[0].num_vars), LEX)
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_prefix_dimension_matches_unpacked_supports_on_every_pass(seed):
+    # the guard-bit masks against the fields unpacked one by one
+    from sigmadim.families import monomial_krull_dim
+    from sigmadim.groebner import _fields, prefix_dimension
+
+    cases = _random_cases(seed, 40) + list(NAMED.values())
+    for F, i_max in cases:
+        basis = _ladder_basis(F, i_max)
+        width = len(basis.ring)
+        for k in range(len(basis.passes) + 2):
+            if k == 0:
+                expect = width
+            else:
+                lms = basis.passes[min(k, len(basis.passes)) - 1]
+                supports = [[j for j, _ in _fields(lm, basis.ring, basis.bits)] for lm in lms]
+                expect = monomial_krull_dim(supports, width)
+            assert prefix_dimension(basis, k, width) == expect, ([str(f) for f in F], i_max, k)
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_leading_family_matches_the_monomial_route(seed):
+    from sigmadim import UnitIdealError, family_from_monomials, leading_monomial_ideal
+    from sigmadim.engine import _leading_family
+
+    cases = _random_cases(seed, 40) + list(NAMED.values())
+    units = 0
+    for F, i_max in cases:
+        basis = _ladder_basis(F, i_max)
+        n = F[0].num_vars
+        lms = leading_monomial_ideal(basis)
+        if basis.is_unit_ideal:
+            units += 1
+            with pytest.raises(UnitIdealError):
+                family_from_monomials([m.squarefree_part() for m in lms], n)
+            with pytest.raises(UnitIdealError):
+                _leading_family(basis, n)
+            continue
+        expect = family_from_monomials([m.squarefree_part() for m in lms], n)
+        got = _leading_family(basis, n)
+        assert got == expect and got.members == expect.members, ([str(f) for f in F], i_max)
+    assert units  # the unit ideal is among the cases

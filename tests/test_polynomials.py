@@ -1,10 +1,13 @@
 """Ring arithmetic and the shift action."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmadim import DifferencePolynomial, SigmaMonomial
+from sigmadim.polynomials import SigmaVariable
 from conftest import poly
 
 
@@ -75,3 +78,55 @@ def test_shift_is_ring_morphism(f, g, ell):
 def test_shift_raises_order(f, ell):
     if f.order() is not None:
         assert f.shifted(ell).order() == f.order() + ell
+
+
+# -- the non-validating constructors against the validating ones -------------
+
+
+@given(monomials, st.integers(0, 4))
+def test_monomial_shift_and_squarefree_part_match_validated_builds(m, ell):
+    shifted = m.shifted(ell)
+    expect = SigmaMonomial({(v.shift + ell, v.index): e for v, e in m.exps})
+    assert shifted == expect and hash(shifted) == hash(expect)
+    assert shifted.exps == expect.exps
+    assert all(type(v) is SigmaVariable for v, _ in shifted.exps)
+    square_free = m.squarefree_part()
+    expect = SigmaMonomial({v: 1 for v, _ in m.exps})
+    assert square_free == expect and hash(square_free) == hash(expect)
+    assert square_free.exps == expect.exps
+
+
+@given(monomials)
+def test_make_matches_the_validating_constructor(m):
+    made = SigmaMonomial._make(m.exps)
+    assert made == m and hash(made) == hash(m) and str(made) == str(m)
+
+
+@given(polynomials(), st.integers(0, 4))
+def test_polynomial_shift_matches_a_validated_build(f, ell):
+    expect = DifferencePolynomial(
+        {SigmaMonomial({(v.shift + ell, v.index): e for v, e in m.exps}): c for m, c in f.terms.items()},
+        f.num_vars,
+    )
+    got = f.shifted(ell)
+    assert got == expect and hash(got) == hash(expect) and str(got) == str(expect)
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_outside_input_stays_validated():
+    with pytest.raises(ValueError):
+        SigmaMonomial({(0, 1): -1})
+    with pytest.raises(ValueError):
+        SigmaMonomial({(-1, 1): 1})
+    with pytest.raises(ValueError):
+        DifferencePolynomial({SigmaMonomial({(0, 3): 1}): 1}, 2)
+    with pytest.raises(ValueError):
+        DifferencePolynomial({}, -1)
+    with pytest.raises(ValueError):
+        SigmaMonomial.variable(2, 1).shifted(-1)
+
+
+def test_mapping_input_from_collections_abc():
+    from types import MappingProxyType
+
+    assert SigmaMonomial(MappingProxyType({(1, 2): 3})) == SigmaMonomial([((1, 2), 3)])
