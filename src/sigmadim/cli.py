@@ -33,8 +33,10 @@ from .groebner import buchberger, eliminate
 from .lab import DEFAULT_BUDGET, BudgetExceededError, enumerate_truncated_solutions, projection_count
 from .parsing import (
     ParseError,
+    family_from_json,
     family_text,
     family_to_json,
+    frac_to_json,
     parse_cells,
     parse_family_text,
     parse_polynomial,
@@ -45,12 +47,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_UNIT = 4
-
-
-def _frac_json(x: Optional[Fraction]):
-    if x is None:
-        return None
-    return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
 def _frac_text(x: Fraction) -> str:
@@ -76,8 +72,6 @@ def _load_family(path: str) -> SigmaFamily:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{") and '"members"' in stripped:
-        from .parsing import family_from_json
-
         return family_from_json(json.loads(text))
     return parse_family_text(text)
 
@@ -145,7 +139,7 @@ def _cmd_cover(args) -> int:
     density = comp.density
     result = {
         "elements": list(e.elements),
-        "density": _frac_json(density),
+        "density": frac_to_json(density),
         "complement": {"period": comp.period, "offsets": list(comp.offsets)},
     }
     lines = [
@@ -242,7 +236,7 @@ def _cmd_solve(args) -> int:
         result["projection"] = {
             "set": [list(c) for c in cells],
             "count": count,
-            "fraction": _frac_json(frac),
+            "fraction": frac_to_json(frac),
         }
         lines.append(f"projection to {args.set}: {count} points, fraction {_frac_text(frac)}")
     return _emit(args, "solve", result, lines)

@@ -38,6 +38,7 @@ from .families import (
 )
 from .groebner import LEX, GroebnerBasis, buchberger, eliminate, prefix_dimension
 from .meancycle import CertificateError, extract_min_mean_cycle, minimum_cycle_mean
+from .parsing import family_to_json, frac_to_json
 from .polynomials import DifferencePolynomial, SigmaMonomial, SigmaVariable
 
 DEFAULT_GROEBNER_IMAX = 8
@@ -83,26 +84,20 @@ class DimensionReport:
         return [e.d for e in self.entries]
 
     def to_json(self) -> dict:
-        def frac(x: Optional[Fraction]):
-            if x is None:
-                return None
-            return {"num": str(x.numerator), "den": str(x.denominator)}
-
         out = {
             "method": self.method,
-            "certified": {"kind": self.certified_kind, "value": frac(self.certified_value)},
+            "certified": {"kind": self.certified_kind, "value": frac_to_json(self.certified_value)},
             "sequence": [
                 {"i": e.i, "d": "empty" if isinstance(e.d, EmptyDimension) else e.d, "exact": e.exact}
                 for e in self.entries
             ],
         }
         if self.family is not None:
-            out["family"] = {
-                "n": self.family.n,
-                "members": [s.sorted_cells() for s in self.family.members],
-                "value": frac(self.family_value),
-                "depth": self.truncation_depth,
-            }
+            out["family"] = dict(
+                family_to_json(self.family),
+                value=frac_to_json(self.family_value),
+                depth=self.truncation_depth,
+            )
         if self.linear_tail is not None:
             out["linear_tail"] = {
                 "d": self.linear_tail.d,

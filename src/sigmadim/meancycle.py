@@ -5,10 +5,18 @@ Gaubert, McGettrick & Quadrat 1998; Dasdan 2004) over the states reachable
 from a source, after trimming the states from which no cycle can be
 reached.  A policy picks one outgoing edge per state; the cycles of the
 policy bound the minimum mean from above and the policy values steer the
-switch to better edges.  The iteration works in floats, but nothing it
-finds is returned unchecked: every value p/q is proved by two exact
-integer checks, explicit code that raises CertificateError and so also
-runs under ``python -O``:
+switch to better edges.  The iteration is exact: each policy cycle's mean
+is reduced to p/q, a state's bias is the integer q*dist - p*steps of its
+policy path, and an edge to a state of equal mean is scored by the integer
+q*w - p + bias, so no tolerance decides a switch and the iteration stops
+at an optimal policy.  Means are compared as float64 quotients of integer
+sums; the solve raises ValueError unless states**2 * max|w| < 2**52, under
+which distinct means of cycles of at most `states` edges stay distinct and
+correctly ordered as floats and every integer below fits in int64.
+
+Nothing the iteration finds is returned unchecked: every value p/q is
+proved by two exact integer checks, explicit code that raises
+CertificateError and so also runs under ``python -O``:
 
 * upper bound: a cycle of the graph, walked edge by edge, whose integer
   weight sum over its length is exactly p/q;
@@ -16,12 +24,10 @@ runs under ``python -O``:
   on every edge; summed around any cycle it shows that no cycle has a
   smaller mean.
 
-The potential starts from the policy values times q, computed exactly
-from integer path sums, and is finished by vectorized Bellman-Ford rounds
-until a round changes nothing.  When the rounds run into a cycle of
-negative reweighted length instead (a float tie stopped the iteration
-early), that cycle has a strictly smaller mean: the iteration restarts from
-it, so the candidate mean decreases strictly until it is certified.
+The potential starts from p*steps - q*dist of each state's policy path
+and is finished by vectorized Bellman-Ford rounds until a round changes nothing; a round
+after one round per state that still lowers it would prove a cycle of
+smaller mean, and raises CertificateError.
 
 The cycle witness of `extract_min_mean_cycle` is recovered by reweighting
 edges with the certified mean p/q (w' = q*w - p), computing shortest-path
@@ -37,12 +43,6 @@ from fractions import Fraction
 import numpy as np
 
 INF = 1 << 60
-
-# relative size below which a float gain in policy values counts as a tie
-TIE_TOLERANCE = 2.0 ** -40
-# policy rounds after which the certificate takes over even without a
-# fixpoint: exact arithmetic always reaches one, floats need not
-HOWARD_ROUNDS = 1000
 
 
 class CertificateError(RuntimeError):
@@ -168,31 +168,31 @@ def _first_edge(mask: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 def _improve(policy, src, dst, w, first):
     """Howard policy iteration from `policy` (one out-edge per state, the
-    edges grouped by tail state from `first` on) until no state gains,
-    or HOWARD_ROUNDS rounds.  Returns the policy and its values.
+    edges grouped by tail state from `first` on) until no state gains.
+    Returns the policy and its values.
 
     A state first moves to a successor whose policy reaches a cycle of
-    smaller mean; failing that, to the successor of equal mean with the
-    smallest value w - eta + x, if that beats its own value by more than
-    the tie tolerance."""
-    for _ in range(HOWARD_ROUNDS):
+    smaller mean; failing that, to the successor of equal mean p/q with the
+    smallest integer score q*w - p + bias, if that is below its own bias."""
+    while True:
         values = _policy_values(dst[policy], w[policy])
         rep, dist, steps = values
         total, length = _cycle_sums(policy, values, dst, w)
+        head = rep == np.arange(len(rep))
+        g = np.gcd(total, length, out=np.ones_like(total), where=head)  # at the heads only
+        p, q = (total // g)[rep], (length // g)[rep]
+        bias = q * dist - p * steps
         eta = (total / length)[rep]
-        x = dist - eta * steps
         eta_e = eta[dst]
         best_eta = np.minimum.reduceat(eta_e, first)
         down = best_eta < eta
-        val = np.where(eta_e == eta[src], w - eta[src] + x[dst], np.inf)
+        val = np.where(eta_e == eta[src], q[src] * w - p[src] + bias[dst], INF)
         best_val = np.minimum.reduceat(val, first)
-        tol = TIE_TOLERANCE * (1.0 + np.abs(dist).max() + np.abs(x).max())
-        change = down | (best_val < x - tol)
+        change = down | (best_val < bias)
         if not change.any():
             return policy, values
         want = np.where(down[src], eta_e == best_eta[src], val == best_val[src])
         policy = np.where(change, _first_edge(want, first), policy)
-    return policy, _policy_values(dst[policy], w[policy])
 
 
 def _policy_cycle(policy, values, dst, w) -> tuple[list[int], Fraction]:
@@ -255,82 +255,39 @@ class _InEdges:
         return out
 
 
-def _parent_cycle(parent: np.ndarray, src: np.ndarray):
-    """Edges of a cycle in the graph of last-improving edges, if any.
-    Such a cycle has negative reweighted length."""
-    n = len(parent)
-    has = parent >= 0
-    jump = np.where(has, src[np.maximum(parent, 0)], np.arange(n))
-    for _ in range(max(1, (n - 1).bit_length())):
-        jump = jump[jump]
-    on_cycle = jump[has[jump]]
-    if not on_cycle.size:
-        return None
-    start = node = int(on_cycle[0])
-    cycle = []
-    while True:
-        e = int(parent[node])
-        cycle.append(e)
-        node = int(src[e])
-        if node == start:
-            return cycle[::-1]
-
-
 def _settle(pot, rw, src, dst, into: _InEdges):
     """Bellman-Ford rounds from `pot` under the weights rw until a round
-    changes nothing: (pot, None).  If the rounds meet a cycle of negative
-    reweighted length, checked for at rounds 8, 16, 32, ...: (pot, its
-    edges)."""
-    s, d, r = src[into.order], dst[into.order], rw[into.order]
-    parent = np.full(len(pot), -1, dtype=np.int64)
-    rounds = 0
-    while True:
-        cand = pot[s] + r
-        best = into.relaxed(pot, cand)
-        better = best < pot
-        if not better.any():
-            return pot, None
-        tight = better[d] & (cand == best[d])
-        parent[d[tight]] = into.order[tight]
+    changes nothing.  Without a cycle of negative reweighted length that
+    takes at most one round per state; CertificateError otherwise."""
+    s, r = src[into.order], rw[into.order]
+    for _ in range(len(pot) + 1):
+        best = into.relaxed(pot, pot[s] + r)
+        if not (best < pot).any():
+            return pot
         pot = best
-        rounds += 1
-        if rounds >= 8 and rounds & (rounds - 1) == 0:
-            cycle = _parent_cycle(parent, src)
-            if cycle is not None:
-                return pot, cycle
+    raise CertificateError("the reweighted graph has a cycle of negative length")
 
 
 def _solve(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> Fraction:
     """Certified minimum cycle mean of a graph in which every state has an
-    outgoing edge."""
+    outgoing edge; ValueError unless n**2 * max|w| < 2**52."""
+    size = n * n * max(-int(w.min()), int(w.max()))
+    if size >= 1 << 52:
+        raise ValueError(f"states**2 * max|w| = {size} is not below 2**52")
     order = np.argsort(src, kind="stable")
     src, dst, w = src[order], dst[order], w[order]
     count = np.bincount(src, minlength=n)
     first = np.cumsum(count) - count
-    into = _InEdges(dst, n)
     policy = _first_edge(w == np.minimum.reduceat(w, first)[src], first)
-    best = None
-    while True:
-        policy, values = _improve(policy, src, dst, w, first)
-        cycle, mean = _policy_cycle(policy, values, dst, w)
-        if best is None or mean < best[1]:
-            best = cycle, mean
-        cycle, mean = best
-        _check_cycle(cycle, src, dst, w, mean)
-        p, q = mean.numerator, mean.denominator
-        rw = q * w - p
-        _, dist, steps = values
-        pot, negative = _settle(p * steps - q * dist, rw, src, dst, into)
-        if negative is None:
-            _check_potential(pot, rw, src, dst)
-            return mean
-        # a float tie stopped the iteration early: restart from the cycle
-        # found, whose mean is strictly smaller
-        if int(rw[negative].sum()) >= 0:
-            raise CertificateError(f"cycle {negative} found by relaxation is not negative")
-        policy = policy.copy()
-        policy[src[negative]] = negative
-        best = negative, Fraction(int(w[negative].sum()), len(negative))
+    policy, values = _improve(policy, src, dst, w, first)
+    cycle, mean = _policy_cycle(policy, values, dst, w)
+    _check_cycle(cycle, src, dst, w, mean)
+    p, q = mean.numerator, mean.denominator
+    rw = q * w - p
+    _, dist, steps = values
+    pot = _settle(p * steps - q * dist, rw, src, dst, _InEdges(dst, n))
+    _check_potential(pot, rw, src, dst)
+    return mean
 
 
 def minimum_cycle_mean(g: Graph, source: int = 0) -> Fraction:
@@ -356,9 +313,7 @@ def extract_min_mean_cycle(g: Graph, source: int = 0) -> tuple[Fraction, list[ob
     rw = mean.denominator * sub.weight - mean.numerator  # no negative cycles
     start = np.full(sub.num_states, INF, dtype=np.int64)
     start[s] = 0
-    pot, negative = _settle(start, rw, sub.src, sub.dst, _InEdges(sub.dst, sub.num_states))
-    if negative is not None:
-        raise CertificateError(f"the reweighted graph has a negative cycle {negative}")
+    pot = _settle(start, rw, sub.src, sub.dst, _InEdges(sub.dst, sub.num_states))
     return mean, _tight_cycle(sub, rw, pot, mean)
 
 

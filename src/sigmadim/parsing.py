@@ -218,8 +218,9 @@ def polynomial_text(f: DifferencePolynomial) -> str:
 def parse_cells(text: str) -> list[tuple[int, int]]:
     """Parse ``{(0,1),(1,2)}`` or ``(0,1),(1,2)`` into a cell list."""
     stripped = text.strip()
+    end = len(text.rstrip())  # where `stripped` ends in text
     if stripped.startswith("{") and stripped.endswith("}"):
-        stripped = stripped[1:-1]
+        stripped, end = stripped[1:-1], end - 1
     if not stripped.strip():
         return []
     cells = []
@@ -229,14 +230,14 @@ def parse_cells(text: str) -> list[tuple[int, int]]:
         if rest.startswith(","):
             rest = rest[1:].lstrip()
         if not rest.startswith("("):
-            raise ParseError("expected '('", len(text) - len(rest))
+            raise ParseError("expected '('", end - len(rest))
         close = rest.find(")")
         if close < 0:
-            raise ParseError("unterminated cell", len(text) - len(rest))
+            raise ParseError("unterminated cell", end - len(rest))
         body = rest[1:close]
         parts = [p.strip() for p in body.split(",")]
         if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
-            raise ParseError(f"malformed cell ({body})", len(text) - len(rest))
+            raise ParseError(f"malformed cell ({body})", end - len(rest))
         cells.append((int(parts[0]), int(parts[1])))
         rest = rest[close + 1 :]
     return cells
@@ -259,6 +260,14 @@ def parse_family_text(text: str, n: int | None = None) -> SigmaFamily:
 
 def family_text(family: SigmaFamily) -> str:
     return "\n".join(map(repr, family.members))
+
+
+def frac_to_json(x: Fraction | None) -> dict | None:
+    """``{"num": "p", "den": "q"}``, strings so that no size is lost; None
+    stays None."""
+    if x is None:
+        return None
+    return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
 def family_to_json(family: SigmaFamily) -> dict:

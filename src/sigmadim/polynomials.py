@@ -57,7 +57,7 @@ class SigmaMonomial:
                 raise ValueError(f"negative exponent {e} for {var}")
             if e > 0:
                 v = SigmaVariable(*var)
-                if v.shift < 0 or v.index < 0:
+                if v.shift < 0 or v.index < 1:
                     raise ValueError(f"invalid variable {v}")
                 cleaned.append((v, int(e)))
         cleaned.sort()

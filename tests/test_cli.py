@@ -226,6 +226,17 @@ class TestExitCodes:
         code, _, err = run(["sdim", "--monomial", "1", "--imax", "3"])
         assert code == 4
 
+    def test_unit_ideal_sequence(self):
+        code, out, _ = run(["dimseq", "y1 - 1", "y1 - 2", "--imax", "2"])
+        assert code == 0
+        assert out.splitlines()[-1] == "sigma-dim: undefined (unit ideal)"
+
+    def test_bad_integer_set(self):
+        code, out, err = run(["cover", "0,a"])
+        assert code == 2
+        assert out == ""
+        assert "bad integer set '0,a'" in err
+
     @pytest.mark.parametrize("text", ["0", "y1 - y1", "y1 + 1"])
     def test_monomial_must_have_one_term(self, text):
         code, out, err = run(["sdim", "--monomial", text, "--imax", "3"])

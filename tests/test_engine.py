@@ -176,6 +176,21 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError):
             sigma_dim_family(YS, check=True)
 
+    def test_periodic_picks_miss_a_member(self, monkeypatch):
+        import sigmadim.engine
+
+        # density 1/2, the true mean, but columns 2 and 3 pick nothing
+        self._patch_witness(monkeypatch, sigmadim.engine, labels=[1, 1, 0, 0])
+        with pytest.raises(CertificateError, match="miss a shifted member"):
+            sigma_dim_family(YS, check=True)
+
+    def test_covering_density_bracket(self, monkeypatch):
+        import sigmadim.covering
+
+        monkeypatch.setattr(sigmadim.covering, "minimum_cycle_mean", lambda g, source=0: Fraction(0))
+        with pytest.raises(CertificateError, match="farther than"):
+            sigmadim.covering.covering_density(IntSet([0, 1]), check=True)
+
     def test_window_bracket(self, monkeypatch):
         import sigmadim.engine
 

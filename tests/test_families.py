@@ -7,6 +7,7 @@ the product example y*s(y) has d_i = i/2 + 1 for even i (witness
 
 import random
 
+import numpy as np
 import pytest
 
 from sigmadim import (
@@ -219,6 +220,18 @@ class TestPendingGraph:
             except CertificateError:
                 caught += 1
         assert caught > 0
+
+    def test_split_class_fails_the_successor_check(self, monkeypatch):
+        # splitting each pending class by the oldest column's pick keeps
+        # every class's row but not its successor classes
+        real = families._pending_key
+        monkeypatch.setattr(
+            families,
+            "_pending_key",
+            lambda fam, size: real(fam, size) * 2 + (np.arange(size) >> (size.bit_length() - 2)),
+        )
+        with pytest.raises(CertificateError, match="successors leave"):
+            pending_graph(SigmaFamily(1, [[(0, 1), (1, 1), (4, 1)]]))
 
     def test_table_built_once_per_family(self):
         fam = SigmaFamily(2, [[(0, 1), (1, 2)], [(0, 2), (2, 1)]])

@@ -290,29 +290,80 @@ def tie_graph() -> Graph:
     return graph(2, [(0, 0, 2), (0, 1, 3), (1, 0, 0)])
 
 
-def test_negative_cycle_restarts_the_iteration(monkeypatch):
-    # a tie tolerance that hides every value gain stops the iteration at
-    # once; the certificate rounds must then find a negative cycle and
-    # restart from it until the mean is exact
-    monkeypatch.setattr(meancycle, "TIE_TOLERANCE", 1e30)
-    real = meancycle._parent_cycle
-    found = []
-
-    def recording(parent, src):
-        cycle = real(parent, src)
-        found.append(cycle)
-        return cycle
-
-    monkeypatch.setattr(meancycle, "_parent_cycle", recording)
+def test_exact_iteration_matches_karp():
+    # the value step alone finds the tie graph's mean, with no tolerance
     assert minimum_cycle_mean(tie_graph()) == Fraction(3, 2)
-    assert any(c is not None for c in found)
     rng = random.Random(41)
     for feature in ["dead_ends", "parallel", "zero_weight", "self_loops"] * 20:
         g = random_graph(rng, feature)
         assert minimum_cycle_mean(g) == karp_min_mean(g)
+        g.weight -= 3  # negative weights too
+        assert minimum_cycle_mean(g) == karp_min_mean(g)
     for _ in range(10):
         g = pick_graph(random_pick_family(rng, 8))
         assert minimum_cycle_mean(g) == karp_min_mean(g)
+
+
+def test_unimproved_policy_is_caught(monkeypatch):
+    # the first policy of the tie graph is the loop of mean 2: returned
+    # without the value step, the potential check must refuse it
+    def unimproved(policy, src, dst, w, first):
+        return policy, meancycle._policy_values(dst[policy], w[policy])
+
+    monkeypatch.setattr(meancycle, "_improve", unimproved)
+    with pytest.raises(CertificateError):
+        minimum_cycle_mean(tie_graph())
+
+
+def test_settle_refuses_a_negative_cycle():
+    g = tie_graph()
+    rw = g.weight - 2  # the cycle 0 -> 1 -> 0 has reweighted length -1
+    into = meancycle._InEdges(g.dst, g.num_states)
+    with pytest.raises(CertificateError):
+        meancycle._settle(np.zeros(2, dtype=np.int64), rw, g.src, g.dst, into)
+    pot = meancycle._settle(np.zeros(2, dtype=np.int64), 2 * g.weight - 3, g.src, g.dst, into)
+    assert pot.tolist() == [-3, 0]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_weight_bound(sign):
+    # two states: states**2 * max|w| = 4 * max|w| must stay below 2**52
+    top = (1 << 50) - 1
+    g = graph(2, [(0, 1, sign * top), (1, 0, 0)])
+    assert minimum_cycle_mean(g) == Fraction(sign * top, 2)
+    g.weight[0] += sign
+    with pytest.raises(ValueError, match="2\\*\\*52"):
+        minimum_cycle_mean(g)
+
+
+def close_cycles(q1: int, q2: int, smaller_first: bool) -> tuple[Graph, Fraction]:
+    """Cycles of q1 and q2 edges through state 0, weights just under the
+    bound, whose means differ by 1/(q1*q2), the first one's the smaller
+    if smaller_first; and the smaller mean."""
+    n = q1 + q2 - 1
+    k = ((1 << 52) - 1) // (n * n) - 1  # every weight is k or k + 1
+    # sums a = q1*k + r1 and b = q2*k + r2 with b*q1 - a*q2 = d
+    d = 1 if smaller_first else -1
+    r1 = next(r for r in range(q1) if (r * q2 + d) % q1 == 0)
+    r2 = (r1 * q2 + d) // q1
+    cycles = [list(range(1, q1)), list(range(q1, n))]
+    edges = []
+    for states, q, r in zip(cycles, (q1, q2), (r1, r2)):
+        walk = [0] + states + [0]
+        edges += [(u, v, k + (i < r)) for i, (u, v) in enumerate(zip(walk, walk[1:]))]
+    means = Fraction(q1 * k + r1, q1), Fraction(q2 * k + r2, q2)
+    assert abs(means[0] - means[1]) == Fraction(1, q1 * q2)
+    assert n * n * (k + 1) < 1 << 52
+    return graph(n, edges), min(means)
+
+
+@pytest.mark.parametrize("q1, q2", [(2, 3), (3, 2), (31, 32), (255, 256), (1000, 999)])
+@pytest.mark.parametrize("smaller_first", [True, False])
+def test_close_means_at_the_bound(q1, q2, smaller_first):
+    g, expect = close_cycles(q1, q2, smaller_first)
+    assert minimum_cycle_mean(g) == expect
+    mean, labels = extract_min_mean_cycle(g)
+    assert mean == expect and len(labels) == (q1 if smaller_first else q2)
 
 
 def corrupt_potential(monkeypatch):
@@ -321,11 +372,10 @@ def corrupt_potential(monkeypatch):
     real = meancycle._settle
 
     def corrupted(pot, rw, src, dst, into):
-        pot, negative = real(pot, rw, src, dst, into)
-        pot = pot.copy()
+        pot = real(pot, rw, src, dst, into).copy()
         k = int(np.flatnonzero(pot[src] + rw == pot[dst])[0])
         pot[dst[k]] += 1
-        return pot, negative
+        return pot
 
     monkeypatch.setattr(meancycle, "_settle", corrupted)
 

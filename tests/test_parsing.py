@@ -71,10 +71,36 @@ def test_print_parse_round_trip(f):
     assert parse_polynomial(polynomial_text(f), 3) == f
 
 
+def test_index_zero_is_rejected_so_text_round_trips():
+    # y0 would print but not parse back
+    with pytest.raises(ValueError, match="invalid variable"):
+        SigmaMonomial({(0, 0): 1})
+    f = DifferencePolynomial({SigmaMonomial({(0, 1): 1}): 1}, 1)
+    assert str(f) == "y1" and parse_polynomial(str(f), 1) == f
+
+
 class TestFamilyFormats:
     def test_cells(self):
         assert parse_cells("{(0,1),(1,2)}") == [(0, 1), (1, 2)]
         assert parse_cells("(3,1)") == [(3, 1)]
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("{(0,1),(1,x)}", "malformed cell (1,x)", 7),
+            ("(0,1),(1,2,3) ", "malformed cell (1,2,3)", 6),
+            ("{(0,1),(1,2}", "unterminated cell", 7),
+            ("  (0,1),(2,1", "unterminated cell", 8),
+            ("{(0,1);(1,2)}", "expected '('", 6),
+            ("{0,1}", "expected '('", 1),
+            ("  (0,1) 1,2)", "expected '('", 8),
+        ],
+    )
+    def test_cell_errors(self, text, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse_cells(text)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
 
     def test_text_round_trip(self):
         fam = SigmaFamily(2, [[(0, 1), (1, 1)], [(0, 2)]])
