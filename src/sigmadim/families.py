@@ -20,11 +20,22 @@ and the new column: the key is a congruence, and the quotient keeps every
 cycle and its mean.  The all-picked state has key 0 and is the source,
 class 0; every cycle is reachable from it, because picking a whole column
 is never blocked and the all-picked history admits every continuation.
+
+The quotient keeps only the classes reachable from class 0, found by a
+rule rather than a search.  A table state is reachable from the
+all-picked state iff it hits every member translate that lies inside its
+own width - 1 columns: appending its columns, oldest first, after an
+all-picked history checks only such translates and translates that meet
+the all-picked columns; and every state that steps reach had each of its
+columns checked when it was appended.  A class is reachable iff it holds
+a reachable state: a walk in the quotient from class 0 lifts, through
+the congruence, to a walk of states from the all-picked state.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -67,21 +78,13 @@ class SupportSet:
     """Non-empty finite subset of N x {1..n}, shift-normalized so that the
     minimal shift is 0.  `ord` is the maximal shift."""
 
-    __slots__ = ("cells", "translation")
+    __slots__ = ("cells", "translation", "ord")
 
     def __init__(self, cells: Iterable[Cell]):
-        raw = {(int(i), int(j)) for i, j in cells}
-        if not raw:
-            raise ValueError("support set must be non-empty")
-        if any(i < 0 or j < 1 for i, j in raw):
-            raise ValueError(f"cells must lie in N x {{1..n}}: {sorted(raw)}")
-        low = min(i for i, _ in raw)
+        raw, low = _cell_set(cells)
         self.translation = low
         self.cells: frozenset[Cell] = frozenset((i - low, j) for i, j in raw)
-
-    @property
-    def ord(self) -> int:
-        return max(i for i, _ in self.cells)
+        self.ord = max(raw)[0] - low
 
     def shifted(self, ell: int) -> frozenset[Cell]:
         return frozenset((i + ell, j) for i, j in self.cells)
@@ -100,6 +103,18 @@ class SupportSet:
         return "{" + inner + "}"
 
 
+def _cell_set(cells: Iterable[Cell]) -> tuple[set[Cell], int]:
+    """(the cells as a set of int pairs, their least shift); ValueError
+    unless they are a non-empty subset of N x {1, 2, ...}."""
+    raw = {(int(i), int(j)) for i, j in cells}
+    if not raw:
+        raise ValueError("support set must be non-empty")
+    low = min(raw)[0]
+    if low < 0 or min(raw, key=itemgetter(1))[1] < 1:
+        raise ValueError(f"cells must lie in N x {{1..n}}: {sorted(raw)}")
+    return raw, low
+
+
 class SigmaFamily:
     """A finite family of supports encoding a squarefree monomial
     sigma-ideal in n difference variables.
@@ -107,31 +122,50 @@ class SigmaFamily:
     Members are normalized to an antichain under shifted containment: a
     member containing some forward shift of another member generates
     nothing new and is dropped.  Dropping such supersets leaves every
-    window transversal number unchanged."""
+    window transversal number unchanged.
 
-    __slots__ = ("n", "members", "_pick_table")
+    Every member is validated, and pruned as a bitmask of its
+    shift-normalized cells, n bits per column (cell (a, j) at bit
+    a*n + j - 1): `small` shifted l columns lies in `big` iff
+    (small << l*n) & ~big == 0.  Candidates are tried by increasing size,
+    and a SupportSet is built only for the members kept."""
+
+    __slots__ = ("n", "members", "width", "_pick_table")
 
     def __init__(self, n: int, members: Iterable[SupportSet | Iterable[Cell]]):
         if n < 1:
             raise ValueError("n must be >= 1")
-        normalized = {m if isinstance(m, SupportSet) else SupportSet(m) for m in members}
-        for s in normalized:
-            if any(j > n for _, j in s.cells):
-                raise ValueError(f"member {s} uses index beyond n={n}")
-        kept: list[SupportSet] = []
-        for s in sorted(normalized, key=lambda s: (len(s.cells), s.sorted_cells())):
-            if not any(_shift_contained(t, s) for t in kept):
-                kept.append(s)
+        given: dict[int, SupportSet | set[Cell]] = {}  # normalized mask -> first member
+        beyond = None
+        for m in members:
+            raw, low = (m.cells, 0) if isinstance(m, SupportSet) else _cell_set(m)
+            mask = 0
+            for i, j in raw:
+                if j > n:
+                    beyond = beyond or raw
+                    break
+                mask |= 1 << ((i - low) * n + j - 1)
+            else:
+                given.setdefault(mask, m if isinstance(m, SupportSet) else raw)
+        if beyond is not None:
+            raise ValueError(f"member {SupportSet(beyond)} uses index beyond n={n}")
+        kept: list[tuple[int, int]] = []  # (mask, ord)
+        for big in sorted(given, key=int.bit_count):
+            top = (big.bit_length() - 1) // n
+            if not any(
+                (small << l * n) & ~big == 0 for small, o in kept for l in range(top - o + 1)
+            ):
+                kept.append((big, top))
         self.n = n
+        self.width = 1 + max((o for _, o in kept), default=0)  # window span of one member
+        chosen = (given[mask] for mask, _ in kept)
         self.members: tuple[SupportSet, ...] = tuple(
-            sorted(kept, key=lambda s: s.sorted_cells())
+            sorted(
+                (m if isinstance(m, SupportSet) else SupportSet(m) for m in chosen),
+                key=SupportSet.sorted_cells,
+            )
         )
         self._pick_table: np.ndarray | None = None  # filled by pick_automaton
-
-    @property
-    def width(self) -> int:
-        """1 + max member order (window span of one member)."""
-        return 1 + max((s.ord for s in self.members), default=0)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -145,14 +179,6 @@ class SigmaFamily:
 
     def __repr__(self) -> str:
         return f"SigmaFamily(n={self.n}, members={list(self.members)})"
-
-
-def _shift_contained(small: SupportSet, big: SupportSet) -> bool:
-    """True if some forward shift of `small` is contained in `big`."""
-    for ell in range(big.ord - small.ord + 1):
-        if small.shifted(ell) <= big.cells:
-            return True
-    return False
 
 
 def family_from_monomials(monomials: Sequence[SigmaMonomial], n: int) -> SigmaFamily:
@@ -235,8 +261,24 @@ def _pending_key(family: SigmaFamily, size: int) -> np.ndarray:
     return key
 
 
+def _reachable_states(family: SigmaFamily, size: int) -> np.ndarray:
+    """Mask of the `size` table states reachable from the all-picked
+    state: those that hit every member translate inside their own
+    width - 1 columns, the translate of s that ends j columns before the
+    newest one for j < width - 1 - ord(s)."""
+    n, w = family.n, family.width
+    states = np.arange(size, dtype=np.int64)
+    reached = np.ones(size, dtype=bool)
+    for s in family.members:
+        whole = _ending_mask(s, n)
+        for j in range(w - 1 - s.ord):
+            reached &= (states & (whole << (j * n))) != 0
+    return reached
+
+
 def pending_graph(family: SigmaFamily) -> Graph:
-    """The pick automaton's quotient by pending members, as a graph.
+    """The pick automaton's quotient by pending members, as a graph on
+    the classes reachable from the all-picked state's.
 
     The class key of a state packs its pending bits (`_pending_masks`);
     classes are numbered in key order, so the all-picked state's class,
@@ -245,7 +287,11 @@ def pending_graph(family: SigmaFamily) -> Graph:
     labeled by the pick pattern, into the class of the representative's
     successor.  Explicit checks that every state has its representative's
     row and successor classes raise CertificateError: the certified mean
-    of the quotient is then the mean of the full automaton."""
+    of the quotient is then the mean of the full automaton.
+
+    Only the classes holding a reachable state (`_reachable_states`) are
+    kept, renumbered in order, and the graph is marked as reached from
+    class 0, so the solve runs no search of its own."""
     step = pick_automaton(family)
     _, rep, cls = np.unique(_pending_key(family, len(step)), return_index=True, return_inverse=True)
     nxt = np.arange(step.size, dtype=np.int64).reshape(step.shape) & (len(step) - 1)
@@ -254,8 +300,12 @@ def pending_graph(family: SigmaFamily) -> Graph:
         raise CertificateError(f"{family}: a state's row differs from its pending class's")
     if not np.array_equal(cls[nxt], succ[cls]):
         raise CertificateError(f"{family}: a state's successors leave its pending classes")
+    kept = np.zeros(len(rep), dtype=bool)
+    kept[cls[_reachable_states(family, len(step))]] = True
+    number = np.cumsum(kept) - 1
+    row, succ = row[kept], succ[kept]
     c, pick = np.nonzero(row < INF)
-    return Graph(len(rep), c, succ[c, pick], row[c, pick], pick)
+    return Graph(len(row), c, number[succ[c, pick]], row[c, pick], pick, reached_from=0)
 
 
 def iter_window_taus(family: SigmaFamily, i_max: int) -> Iterator[int]:

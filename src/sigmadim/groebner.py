@@ -208,7 +208,9 @@ class GroebnerBasis:
 #                   from its guard bit exactly when a_k > b_k
 #   lcm             with M = ((a | guard) - b) & guard, M -= M >> bits the
 #                   mask of the fields where a_k >= b_k: (a & M) | (b & ~M)
-#   coprime         lcm(a, b) == a + b
+#   coprime         lcm(a, b) == a + b; or, with the support of a the mask
+#                   ((a | guard) - ones) & guard (ones = guard >> bits) of
+#                   the guard bits above its nonzero fields, disjoint supports
 #
 # Every product the kernel forms is checked once with `& guard`, and every
 # input exponent when it is encoded; on an overflow the whole run starts
@@ -449,7 +451,7 @@ def _extend(
     elements so that, with them, they form a Groebner basis of the ideal
     with the input f; None if a constant turns up (unit ideal).  `lower`
     is a Groebner basis of the earlier inputs and `reducers` holds it and
-    any further elements of their ideal.
+    any further elements of their ideal, shortest tail first.
 
     A new element is (lm, lc, tail, t): its signature is the term t, for
     t * f plus an element of the earlier ideal reduces to it; f's index
@@ -474,55 +476,80 @@ def _extend(
     top-reducible) is discarded; the rest join as they are, made
     primitive, their tails unreduced.
     Reducers are tried earlier ones first, each group shortest tail
-    first."""
+    first.
+
+    The criteria run inline on the packed ints, as `for`/`else` loops,
+    with divisibility, lcm and coprimality as in the table above;
+    coprimality is tested on supports, so the lcm of a coprime pair is
+    never formed."""
+    ones = guard >> bits
     syzygies = [lm for lm, _, _ in lower]
-    reducers = sorted(reducers, key=lambda g: len(g[2]))
+    # (index, leading monomial, support) of every element to pair with
+    partners = [(~j, glm, ((glm | guard) - ones) & guard) for j, (glm, _, _) in enumerate(lower)]
     new: list[tuple[int, int, dict, int]] = []  # in signature order
     signed: list[tuple[int, int, dict, int]] = []  # new, shortest tail first
     pairs: list[tuple[int, int, int]] = []  # (signature, owner, other): ~j is lower[j]
     p, sig = f, 0
     while True:
         r = _normal_form(p, reducers, guard, signed, sig, top=True)[0]
-        lm = max(r, default=None)
-        if lm is None:
+        if not r:
             syzygies.append(sig)
-        elif not any(_divides(hlm, lm, guard) and lm - hlm + ht == sig for hlm, _, _, ht in new):
-            lm, lc, tail = _primitive(r)
-            if not lm:
-                return None
-            k = len(new)
-            fresh = []
-            for j, (glm, _, _) in enumerate(lower):
-                lcm = _lcm(lm, glm, guard, bits)
-                if lcm != lm + glm:
-                    fresh.append((lcm - lm + sig, k, ~j))
-            for j, (hlm, _, _, ht) in enumerate(new):
-                lcm = _lcm(lm, hlm, guard, bits)
-                mine, theirs = lcm - lm + sig, lcm - hlm + ht
-                if mine != theirs and lcm != lm + hlm:
-                    fresh.append((mine, k, j) if mine > theirs else (theirs, j, k))
-            for pair in fresh:
-                if pair[0] & guard:
-                    raise _Overflow
-                if not _divisible(pair[0], syzygies, guard):
-                    heapq.heappush(pairs, pair)
-            new.append((lm, lc, tail, sig))
-            bisect.insort(signed, new[-1], key=lambda g: len(g[2]))
+        else:
+            lm = max(r)
+            lmg = lm | guard
+            for hlm, _, _, ht in new:
+                if (lmg - hlm) & guard == guard and lm - hlm + ht == sig:
+                    break  # singular top-reducible: discarded
+            else:
+                lm, lc, tail = _primitive(r)
+                if not lm:
+                    return None
+                k = len(new)
+                support = (lmg - ones) & guard
+                fresh = []
+                for j, glm, glm_support in partners:
+                    if not glm_support & support:
+                        continue  # coprime leading monomials: the Koszul criterion
+                    mask = (lmg - glm) & guard
+                    mask -= mask >> bits
+                    lcm = (lm & mask) | (glm & ~mask)
+                    mine = lcm - lm + sig
+                    if j < 0:  # a lower element's signature lies below every new one
+                        fresh.append((mine, k, j))
+                        continue
+                    theirs = lcm - glm + new[j][3]
+                    if mine > theirs:
+                        fresh.append((mine, k, j))
+                    elif mine < theirs:
+                        fresh.append((theirs, j, k))
+                    # equal multiplied signatures: dropped
+                for pair in fresh:
+                    if pair[0] & guard:
+                        raise _Overflow
+                    sg = pair[0] | guard
+                    for d in syzygies:
+                        if (sg - d) & guard == guard:
+                            break  # a syzygy signature divides it
+                    else:
+                        heapq.heappush(pairs, pair)
+                new.append((lm, lc, tail, sig))
+                partners.append((k, lm, support))
+                bisect.insort(signed, new[-1], key=lambda g: len(g[2]))
         done = sig
         while pairs:
             sig, a, b = heapq.heappop(pairs)
-            if sig != done and not _divisible(sig, syzygies, guard):
+            if sig == done:
+                continue
+            sg = sig | guard
+            for d in syzygies:
+                if (sg - d) & guard == guard:
+                    break  # a syzygy signature divides it: pop the next
+            else:
                 break
         else:
             return new
         owner, other = new[a], (lower[~b] if b < 0 else new[b])
         p = _s_polynomial(owner, other, _lcm(owner[0], other[0], guard, bits), guard)
-
-
-def _divisible(m: int, divisors: list[int], guard: int) -> bool:
-    """Some monomial of `divisors` divides m."""
-    mg = m | guard
-    return any((mg - d) & guard == guard for d in divisors)
 
 
 def _minimal_basis(
@@ -538,8 +565,9 @@ def _minimal_basis(
     leading monomial: the one of smaller signature would have reduced the
     other.  After a pass the elements whose leading monomial no other
     divides form a Groebner basis of the inputs so far, which the next
-    pass pairs with; every element stays a reducer."""
-    elements: list[tuple[int, int, dict]] = []
+    pass pairs with; every element stays a reducer, kept in order of tail
+    length (stably, so earlier elements first among equal lengths)."""
+    elements: list[tuple[int, int, dict]] = []  # shortest tail first
     basis: list[tuple[int, int, dict]] = []
     passes: list[list[int]] = []
     for f in sorted(polys, key=max):
@@ -548,13 +576,18 @@ def _minimal_basis(
             passes.append([0])
             return [(0, 1, {})], passes
         new = [(lm, lc, tail) for lm, lc, tail, _ in new]
-        elements += new
+        for g in new:
+            bisect.insort(elements, g, key=lambda g: len(g[2]))
         # a new leading monomial is divisible by no lower one
-        basis = [
-            g
-            for g in basis + new
-            if not any(h is not g and _divides(h[0], g[0], guard) for h in new)
-        ]
+        kept = []
+        for g in basis + new:
+            lmg = g[0] | guard
+            for h in new:
+                if h is not g and (lmg - h[0]) & guard == guard:
+                    break
+            else:
+                kept.append(g)
+        basis = kept
         passes.append([g[0] for g in basis])
     return sorted(basis, key=lambda g: g[0]), passes
 

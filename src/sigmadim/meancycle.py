@@ -9,10 +9,15 @@ switch to better edges.  The iteration is exact: each policy cycle's mean
 is reduced to p/q, a state's bias is the integer q*dist - p*steps of its
 policy path, and an edge to a state of equal mean is scored by the integer
 q*w - p + bias, so no tolerance decides a switch and the iteration stops
-at an optimal policy.  Means are compared as float64 quotients of integer
-sums; the solve raises ValueError unless states**2 * max|w| < 2**52, under
-which distinct means of cycles of at most `states` edges stay distinct and
-correctly ordered as floats and every integer below fits in int64.
+at an optimal policy.  Policy values come from pointer doubling that
+carries each state's path weight and length as one int64,
+dist << s | steps with s = rounds + 1, and stops once every state jumps
+to a cycle head.  A graph built with `reached_from` (the pending quotient
+of a family) skips the reachability search.  Means are compared as
+float64 quotients of integer sums; the solve raises ValueError unless
+states**2 * max|w| < 2**52, under which distinct means of cycles of at
+most `states` edges stay distinct and correctly ordered as floats and
+every integer below fits in int64.
 
 Nothing the iteration finds is returned unchecked: every value p/q is
 proved by two exact integer checks, explicit code that raises
@@ -54,9 +59,13 @@ class CertificateError(RuntimeError):
 
 class Graph:
     """Directed multigraph: edge k runs from src[k] to dst[k] with integer
-    weight weight[k] and payload label[k], all 1-D numpy arrays."""
+    weight weight[k] and payload label[k], all 1-D numpy arrays.
+    `reached_from`, when given, is a state from which every state is
+    reachable, so `restrict_reachable` from it runs no search."""
 
-    def __init__(self, num_states: int, src=(), dst=(), weight=(), label=None):
+    def __init__(
+        self, num_states: int, src=(), dst=(), weight=(), label=None, *, reached_from=None
+    ):
         self.num_states = int(num_states)
         self.src = np.asarray(src, dtype=np.int64)
         self.dst = np.asarray(dst, dtype=np.int64)
@@ -66,7 +75,7 @@ class Graph:
         self.label = np.asarray(label)
         if not len(self.src) == len(self.dst) == len(self.weight) == len(self.label):
             raise ValueError("edge arrays differ in length")
-        self._reached_from = None  # a source that reaches every state
+        self._reached_from = reached_from  # a source that reaches every state
 
     def induced(self, keep: np.ndarray) -> "Graph":
         """Subgraph on the states where keep is True, renumbered in order;
@@ -133,7 +142,13 @@ def _policy_values(succ: np.ndarray, cost: np.ndarray):
     state.  rep[u] is the smallest state on the policy cycle that u falls
     into; dist[u] and steps[u] are the integer weight and length of u's
     policy path up to its first visit of rep[u].  Pointer doubling:
-    2**rounds >= n steps reach every cycle."""
+    2**rounds >= n steps reach every cycle.
+
+    The path sums are carried as one int64 per state, dist << s | steps
+    with s = rounds + 1: a path has fewer than n <= 2**rounds steps, so
+    steps never carries into dist, and as 2**s <= 4n the solve's bound
+    n**2 * max|w| < 2**52 keeps |dist << s| below 2**54.  The sums stop
+    doubling once every state jumps to a cycle head."""
     n = len(succ)
     rounds = max(1, (n - 1).bit_length())
     ident = np.arange(n, dtype=np.int64)
@@ -144,13 +159,14 @@ def _policy_values(succ: np.ndarray, cost: np.ndarray):
     rep = low[jump]
     root = rep == ident
     jump = np.where(root, ident, succ)
-    dist = np.where(root, 0, cost)
-    steps = (~root).astype(np.int64)
+    s = rounds + 1
+    packed = np.where(root, 0, (cost << s) | 1)
     for _ in range(rounds):
-        dist = dist + dist[jump]
-        steps = steps + steps[jump]
+        packed += packed[jump]
         jump = jump[jump]
-    return rep, dist, steps
+        if np.count_nonzero(root[jump]) == n:
+            break
+    return rep, packed >> s, packed & ((1 << s) - 1)
 
 
 def _cycle_sums(policy, values, dst, w):

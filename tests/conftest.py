@@ -12,6 +12,11 @@ before the certificate's Bellman-Ford), the pick automaton on the patterns
 of the last `width` columns (the state space the library used before its
 transfer table on width - 1 columns), the transfer table read as a graph
 (the graph the library solved before its quotient by pending members),
+that quotient on every class (the graph the library searched for
+reachable classes before it kept only those), the member pruning by
+shifted containment of SupportSets (the pruning the library ran before
+its bitmasks), policy values over two arrays and every doubling round
+(the evaluation the library ran before it packed them),
 Groebner bases by the plain Buchberger loop the library used before packed
 exponents and the pair heap, with divisibility, quotients, lcms and
 coprimality on SigmaMonomials, truncated dimension sequences by one
@@ -280,6 +285,76 @@ def pick_graph(family):
     src, pick = np.nonzero(step < INF)
     dst = ((src << family.n) | pick) & (len(step) - 1)
     return Graph(len(step), src, dst, step[src, pick], pick)
+
+
+def oracle_pending_graph(family):
+    """The pick automaton's quotient by pending members on every class,
+    reachable from the all-picked state's or not: the graph the library
+    solved, after a reachability search of its own, before the quotient
+    kept only the classes that hold a reachable state."""
+    from sigmadim import families
+    from sigmadim.families import INF, pick_automaton
+    from sigmadim.meancycle import CertificateError, Graph
+
+    step = pick_automaton(family)
+    key = families._pending_key(family, len(step))
+    _, rep, cls = np.unique(key, return_index=True, return_inverse=True)
+    nxt = np.arange(step.size, dtype=np.int64).reshape(step.shape) & (len(step) - 1)
+    row, succ = step[rep], cls[nxt[rep]]
+    if not np.array_equal(step, row[cls]) or not np.array_equal(cls[nxt], succ[cls]):
+        raise CertificateError(f"{family}: the pending key is not a congruence")
+    c, pick = np.nonzero(row < INF)
+    return Graph(len(rep), c, succ[c, pick], row[c, pick], pick)
+
+
+def oracle_shift_contained(small, big) -> bool:
+    """True if some forward shift of the SupportSet `small` is contained
+    in the SupportSet `big`."""
+    for ell in range(big.ord - small.ord + 1):
+        if small.shifted(ell) <= big.cells:
+            return True
+    return False
+
+
+def oracle_family_members(n: int, members) -> tuple:
+    """The members a SigmaFamily keeps, by the pruning the library ran
+    before its bitmasks: every member made a SupportSet and checked
+    against n, then kept by increasing size unless some forward shift of
+    a kept one lies in it; sorted by their sorted cells."""
+    from sigmadim.families import SupportSet
+
+    normalized = {m if isinstance(m, SupportSet) else SupportSet(m) for m in members}
+    for s in normalized:
+        if any(j > n for _, j in s.cells):
+            raise ValueError(f"member {s} uses index beyond n={n}")
+    kept = []
+    for s in sorted(normalized, key=lambda s: (len(s.cells), s.sorted_cells())):
+        if not any(oracle_shift_contained(t, s) for t in kept):
+            kept.append(s)
+    return tuple(sorted(kept, key=lambda s: s.sorted_cells()))
+
+
+def oracle_policy_values(succ, cost):
+    """(rep, dist, steps) of a policy, by pointer doubling over two arrays
+    for every round: the evaluation the library ran before it carried the
+    path sums packed in one int64 and stopped early."""
+    n = len(succ)
+    rounds = max(1, (n - 1).bit_length())
+    ident = np.arange(n, dtype=np.int64)
+    jump, low = succ, ident
+    for _ in range(rounds):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    rep = low[jump]
+    root = rep == ident
+    jump = np.where(root, ident, succ)
+    dist = np.where(root, 0, cost)
+    steps = (~root).astype(np.int64)
+    for _ in range(rounds):
+        dist = dist + dist[jump]
+        steps = steps + steps[jump]
+        jump = jump[jump]
+    return rep, dist, steps
 
 
 def oracle_divides(a, b) -> bool:

@@ -24,15 +24,18 @@ from sigmadim import (
     window_taus,
 )
 import sigmadim.families as families
+import sigmadim.meancycle as meancycle
 from sigmadim.engine import _family_report, sigma_dim_family
 from sigmadim.families import STATE_BIT_CAP, pending_graph, pick_automaton
-from sigmadim.meancycle import CertificateError, minimum_cycle_mean
+from sigmadim.meancycle import CertificateError, extract_min_mean_cycle, minimum_cycle_mean
 from sigmadim.transversal import minimum_hitting_set_size
 from conftest import (
     brute_max_free_size,
     brute_min_hitting_set_size,
     karp_min_mean,
     mono,
+    oracle_family_members,
+    oracle_pending_graph,
     oracle_pick_graph,
     pick_graph,
     window_constraints,
@@ -78,6 +81,45 @@ class TestConstruction:
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
             SupportSet([])
+
+    def test_bitmask_pruning_matches_the_support_set_oracle(self):
+        # duplicates, translated presentations of one support and members
+        # that contain shifts of others, given as cell lists and SupportSets
+        rng = random.Random(71)
+        dropped = 0
+        for _ in range(400):
+            n = rng.randint(1, 3)
+            base = [
+                {(rng.randint(0, 3), rng.randint(1, n)) for _ in range(rng.randint(1, 4))}
+                for _ in range(rng.randint(1, 5))
+            ]
+            members = []
+            for cells in base:
+                for _ in range(rng.randint(1, 3)):
+                    t = rng.randint(0, 4)
+                    moved = [(i + t, j) for i, j in sorted(cells)]
+                    rng.shuffle(moved)
+                    members.append(SupportSet(moved) if rng.random() < 0.3 else moved)
+                if rng.random() < 0.5:  # a superset of a shift of this member
+                    members.append(list(cells) + [(rng.randint(0, 5), rng.randint(1, n))])
+            want = oracle_family_members(n, members)
+            fam = SigmaFamily(n, members)
+            assert fam.members == want, members
+            assert [s.sorted_cells() for s in fam.members] == [s.sorted_cells() for s in want]
+            assert fam.width == 1 + max(s.ord for s in want)
+            distinct = {m if isinstance(m, SupportSet) else SupportSet(m) for m in members}
+            dropped += len(distinct) - len(want)
+        assert dropped > 400
+
+    def test_pruned_member_is_still_validated(self):
+        # the second member contains the first, so pruning would drop it,
+        # but its index 2 lies beyond n = 1
+        with pytest.raises(ValueError, match="beyond n=1"):
+            SigmaFamily(1, [[(0, 1)], [(0, 1), (0, 2)]])
+        with pytest.raises(ValueError, match="must lie in"):
+            SigmaFamily(1, [[(0, 1)], [(0, 1), (-1, 1)]])
+        with pytest.raises(ValueError, match="non-empty"):
+            SigmaFamily(1, [[(0, 1)], []])
 
 
 class TestTau:
@@ -188,7 +230,51 @@ PENDING_FAMILIES = [random_pending_family(PENDING_RNG) for _ in range(300)]
 MANY_MASKS = SigmaFamily(1, [[(0, 1), (a, 1), (12, 1)] for a in range(1, 12)])
 
 
+def random_translated_family(rng: random.Random) -> SigmaFamily:
+    """n <= 3, two to four members of different orders, each written at
+    a random translation, at most 12 bits of n * width."""
+    n = rng.randint(1, 3)
+    top = 12 // n - 1
+    members = []
+    for o in rng.sample(range(top + 1), rng.randint(2, min(4, top + 1))):
+        t = rng.randint(0, 3)
+        cells = {(t, rng.randint(1, n)), (t + o, rng.randint(1, n))}
+        cells |= {(t + rng.randint(0, o), rng.randint(1, n)) for _ in range(rng.randint(0, 2))}
+        members.append(cells)
+    return SigmaFamily(n, members)
+
+
+TRANSLATED_RNG = random.Random(83)
+TRANSLATED_FAMILIES = [random_translated_family(TRANSLATED_RNG) for _ in range(500)]
+
+
 class TestPendingGraph:
+    def test_reachable_classes_match_the_searched_quotient(self):
+        # a state is reachable iff it hits every translate inside its own
+        # width - 1 columns: the quotient on the classes that hold one must
+        # be the full quotient restricted by a search, edge for edge
+        dropped = 0
+        for fam in TRANSLATED_FAMILIES + PENDING_FAMILIES + [MANY_MASKS]:
+            full = oracle_pending_graph(fam)
+            want, s = full.restrict_reachable(0)
+            g = pending_graph(fam)
+            assert s == 0 and g.num_states == want.num_states, fam
+            for a in ("src", "dst", "weight", "label"):
+                assert np.array_equal(getattr(g, a), getattr(want, a)), (fam, a)
+            dropped += full.num_states - g.num_states
+        assert dropped > 1000
+
+    def test_solves_on_the_quotient_run_no_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("reachability search on a pending quotient")
+
+        monkeypatch.setattr(meancycle, "_reachable", refuse)
+        for fam in TRANSLATED_FAMILIES[:40] + [YS, MANY_MASKS]:
+            g = pending_graph(fam)
+            mean = minimum_cycle_mean(g)
+            assert extract_min_mean_cycle(g)[0] == mean
+            assert sigma_dim_family(fam, check=True) == fam.n - mean
+
     def test_many_masks_fold_the_key(self):
         assert len(families._pending_masks(MANY_MASKS)) > 62
         assert len(MANY_MASKS.members) == 11

@@ -23,7 +23,7 @@ from sigmadim import (
     reduce,
 )
 from sigmadim import groebner
-from sigmadim.engine import truncation_generators
+from sigmadim.engine import truncated_dim_sequence, truncation_generators
 from sigmadim.groebner import basis_dimension
 from conftest import mono, oracle_buchberger, oracle_reduce, oracle_s_polynomial, poly, random_system
 
@@ -472,3 +472,33 @@ def test_no_zero_reductions_on_coupled_windows(monkeypatch):
         buchberger(gens, [(a, j) for a in range(i + 1) for j in (1, 2)])
         assert all(reductions), (i, reductions.count(False), len(reductions))
     assert len(reductions) > 2 * len(gens)  # window 5 reduces pairs, not only inputs
+
+
+def test_criteria_reduce_the_same_pairs(monkeypatch):
+    # the criteria run inline; they must leave exactly the reductions they
+    # left when each test was a helper call: the normal forms of the
+    # coupled ladders, and the zero reductions of a template whose inputs
+    # are not a regular sequence
+    results = []
+    normal_form = groebner._normal_form
+
+    def counted(*args, **kwargs):
+        out = normal_form(*args, **kwargs)
+        results.append(bool(out[0]))
+        return out
+
+    monkeypatch.setattr(groebner, "_normal_form", counted)
+    coupled = [poly("2*s(y1)*y2 - y1 - 2", 2), poly("s(y2) - 3*y1*y2", 2)]
+    calls = []
+    for i_max in (4, 5, 6):
+        results.clear()
+        truncated_dim_sequence(coupled, i_max)
+        calls.append(len(results))
+    assert calls == [23, 48, 129]
+    template = [poly("y1*s(y1)", 2), poly("y1*y2 - 2*y2*s(y2)", 2)]
+    zeros = []
+    for i_max in range(2, 7):
+        results.clear()
+        truncated_dim_sequence(template, i_max)
+        zeros.append(results.count(False))
+    assert zeros == [2, 6, 10, 14, 18]

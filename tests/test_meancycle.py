@@ -14,7 +14,14 @@ import pytest
 
 import sigmadim
 import sigmadim.meancycle as meancycle
-from conftest import graph, karp_min_mean, oracle_distances, oracle_pick_graph, pick_graph
+from conftest import (
+    graph,
+    karp_min_mean,
+    oracle_distances,
+    oracle_pick_graph,
+    oracle_policy_values,
+    pick_graph,
+)
 from sigmadim import CertificateError, SigmaFamily
 from sigmadim.covering import IntSet, coverage_graph
 from sigmadim.meancycle import Graph, extract_min_mean_cycle, minimum_cycle_mean
@@ -302,6 +309,55 @@ def test_exact_iteration_matches_karp():
     for _ in range(10):
         g = pick_graph(random_pick_family(rng, 8))
         assert minimum_cycle_mean(g) == karp_min_mean(g)
+
+
+def random_policy(rng, n: int, shape: str, top: int):
+    """(succ, cost) of a functional graph on n states, costs in
+    [-top, top] with both ends drawn more often.  "long": one cycle and a
+    chain into it that holds more than half of the states, so doubling
+    runs every round or all but the last; "short": cycles of one or two
+    states, and every other state one step from a cycle, so every path
+    to a cycle's least state has at most two steps and doubling stops
+    after its first round."""
+    order = list(range(n))
+    rng.shuffle(order)
+    succ = [0] * n
+    if shape == "long":
+        c = rng.randint(1, max(1, n // 3))
+        parts = [order[:c]]
+    else:
+        c = rng.randint(1, n)
+        parts, a = [], 0
+        while a < c:
+            b = min(c, a + rng.randint(1, 2))
+            parts.append(order[a:b])
+            a = b
+    for part in parts:
+        for u, v in zip(part, part[1:] + part[:1]):
+            succ[u] = v
+    prev = order[0]
+    for u in order[c:]:
+        if shape == "long":
+            succ[u], prev = prev, u
+        else:
+            succ[u] = order[rng.randrange(c)]
+    ends = [-top, top, -top + 1, top - 1]
+    cost = [rng.choice(ends) if rng.random() < 0.4 else rng.randint(-top, top) for _ in range(n)]
+    return np.array(succ, dtype=np.int64), np.array(cost, dtype=np.int64)
+
+
+def test_packed_policy_values_match_two_arrays():
+    rng = random.Random(89)
+    for k in range(300):
+        n = rng.randint(1, 70)
+        shape = ("long", "short")[k % 2]
+        # under the solve's bound n**2 * max|w| < 2**52, or small weights
+        top = ((1 << 52) - 1) // (n * n) if k % 3 else rng.randint(1, 9)
+        succ, cost = random_policy(rng, n, shape, top)
+        got = meancycle._policy_values(succ, cost)
+        want = oracle_policy_values(succ, cost)
+        for a, b in zip(got, want):
+            assert a.dtype == np.int64 and np.array_equal(a, b), (n, shape, succ, cost)
 
 
 def test_unimproved_policy_is_caught(monkeypatch):
