@@ -16,8 +16,9 @@ The automaton state is a (span)-bit mask recording which of the next span
 positions are already covered by translates placed so far.  Scanning one
 position decides whether to place a translate there (weight 1) or not
 (weight 0); the edge exists only if the position scanned ends up covered.
-The edges are built as numpy arrays, two candidate steps per state, for
-spans up to STATE_BIT_CAP.
+Only the states reachable from state 0 are built, by a rule rather than a
+search (`coverage_graph`), with the edges as numpy arrays, two candidate
+steps per state, for spans up to STATE_BIT_CAP.
 Infinite feasible walks are exactly the complements covering a ray, so
 periodic complements correspond to cycles and the optimal density to the
 minimum cycle mean.
@@ -126,21 +127,34 @@ def _translates(e: IntSet) -> SigmaFamily:
 
 
 def coverage_graph(e: IntSet) -> Graph:
-    """The coverage-state automaton; edge labels are 0/1 placement bits."""
-    span = e.span
+    """The coverage-state automaton on the states reachable from state 0,
+    numbered in increasing mask order; edge labels are 0/1 placement bits.
+
+    The reachable states are exactly the masks OR_{k in P} (mask(E) >> k)
+    for P a subset of {1..span}: the state after a walk from state 0 is
+    fixed by its last span decisions (all of them on a shorter walk), a
+    placement k steps back contributing mask(E) >> k.  Conversely every pattern P is reachable: placing at
+    span positions in a row leads from state 0 to the full state (span
+    is in E), and from the full state any span decisions are allowed,
+    since each scanned position is already covered.  The graph meets the
+    solver's contract: every state is reachable from state 0, and placing
+    is always allowed."""
+    span, mask = e.span, e.mask()
     if span > STATE_BIT_CAP:
         raise CapExceededError(
             f"coverage automaton needs {span} state bits (span), cap is {STATE_BIT_CAP}"
         )
-    if span == 0:
-        return Graph(1, [0], [0], [1], [1])  # must place at every position
-    states = np.arange(1 << span, dtype=np.int64)
+    reached = np.zeros(1 << span, dtype=bool)
+    reached[0] = True
+    for k in range(1, span + 1):
+        reached[np.flatnonzero(reached) | (mask >> k)] = True
+    states = np.flatnonzero(reached)
     # per state: skip (allowed only if bit 0 is covered), then place
-    src = np.repeat(states, 2)
-    dst = np.stack((states >> 1, (states | e.mask()) >> 1), axis=1).ravel()
-    placed = np.tile(np.array([0, 1], dtype=np.int64), 1 << span)
-    ok = (placed == 1) | (src & 1 == 1)
-    return Graph(1 << span, src[ok], dst[ok], placed[ok], placed[ok])
+    src = np.repeat(np.arange(len(states)), 2)
+    dst = np.stack((states >> 1, (states | mask) >> 1), axis=1).ravel()
+    placed = np.tile(np.array([0, 1], dtype=np.int64), len(states))
+    ok = (placed == 1) | np.repeat(states & 1 == 1, 2)
+    return Graph(len(states), src[ok], np.searchsorted(states, dst[ok]), placed[ok], placed[ok])
 
 
 def covering_density(e: IntSet, check: bool = False) -> Fraction:
@@ -149,7 +163,7 @@ def covering_density(e: IntSet, check: bool = False) -> Fraction:
     With check=True the value is bracketed against tau(E, i)/i for a few
     window sizes: the finite ratios approach c from within
     (span + 1)/i."""
-    c = minimum_cycle_mean(coverage_graph(e), source=0)
+    c = minimum_cycle_mean(coverage_graph(e))
     if check:
         span = e.span
         orders = (4 * (span + 1), 16 * (span + 1))
@@ -167,7 +181,7 @@ def optimal_complement(e: IntSet) -> PeriodicComplement:
     """A periodic complement achieving density exactly c(E), unrolled from
     a minimum-mean cycle of the coverage automaton.  Its density is checked
     to equal that cycle mean, so `comp.density` is c(E)."""
-    mean, labels = extract_min_mean_cycle(coverage_graph(e), source=0)
+    mean, labels = extract_min_mean_cycle(coverage_graph(e))
     period = len(labels)
     offsets = [t for t, placed in enumerate(labels) if placed]
     comp = PeriodicComplement(period, offsets)

@@ -154,8 +154,8 @@ def sigma_dim_family(
         return Fraction(family.n)
     graph = pending_graph(family)
     if not check:
-        return family.n - minimum_cycle_mean(graph, source=0)
-    c, picks = extract_min_mean_cycle(graph, source=0)
+        return family.n - minimum_cycle_mean(graph)
+    c, picks = extract_min_mean_cycle(graph)
     density = Fraction(sum(bin(p).count("1") for p in picks), len(picks))
     if density != c:
         raise CertificateError(f"{family}: periodic picks {picks} have density {density}, not {c}")

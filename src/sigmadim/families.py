@@ -261,7 +261,7 @@ def _pending_key(family: SigmaFamily, size: int) -> np.ndarray:
     return key
 
 
-def _reachable_states(family: SigmaFamily, size: int) -> np.ndarray:
+def _reached_states(family: SigmaFamily, size: int) -> np.ndarray:
     """Mask of the `size` table states reachable from the all-picked
     state: those that hit every member translate inside their own
     width - 1 columns, the translate of s that ends j columns before the
@@ -289,9 +289,10 @@ def pending_graph(family: SigmaFamily) -> Graph:
     row and successor classes raise CertificateError: the certified mean
     of the quotient is then the mean of the full automaton.
 
-    Only the classes holding a reachable state (`_reachable_states`) are
-    kept, renumbered in order, and the graph is marked as reached from
-    class 0, so the solve runs no search of its own."""
+    Only the classes holding a reachable state (`_reached_states`) are
+    kept, renumbered in order, so the graph meets the solver's contract:
+    every class is reachable from class 0, and each has an outgoing edge,
+    since picking the whole column is never blocked."""
     step = pick_automaton(family)
     _, rep, cls = np.unique(_pending_key(family, len(step)), return_index=True, return_inverse=True)
     nxt = np.arange(step.size, dtype=np.int64).reshape(step.shape) & (len(step) - 1)
@@ -301,11 +302,11 @@ def pending_graph(family: SigmaFamily) -> Graph:
     if not np.array_equal(cls[nxt], succ[cls]):
         raise CertificateError(f"{family}: a state's successors leave its pending classes")
     kept = np.zeros(len(rep), dtype=bool)
-    kept[cls[_reachable_states(family, len(step))]] = True
+    kept[cls[_reached_states(family, len(step))]] = True
     number = np.cumsum(kept) - 1
     row, succ = row[kept], succ[kept]
     c, pick = np.nonzero(row < INF)
-    return Graph(len(row), c, number[succ[c, pick]], row[c, pick], pick, reached_from=0)
+    return Graph(len(row), c, number[succ[c, pick]], row[c, pick], pick)
 
 
 def iter_window_taus(family: SigmaFamily, i_max: int) -> Iterator[int]:

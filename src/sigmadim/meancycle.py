@@ -1,23 +1,29 @@
 """Exact minimum mean cycle of a directed graph with integer edge weights.
 
-`minimum_cycle_mean` runs Howard policy iteration (Cochet-Terrasson, Cohen,
-Gaubert, McGettrick & Quadrat 1998; Dasdan 2004) over the states reachable
-from a source, after trimming the states from which no cycle can be
-reached.  A policy picks one outgoing edge per state; the cycles of the
-policy bound the minimum mean from above and the policy values steer the
-switch to better edges.  The iteration is exact: each policy cycle's mean
-is reduced to p/q, a state's bias is the integer q*dist - p*steps of its
-policy path, and an edge to a state of equal mean is scored by the integer
-q*w - p + bias, so no tolerance decides a switch and the iteration stops
-at an optimal policy.  Policy values come from pointer doubling that
-carries each state's path weight and length as one int64,
-dist << s | steps with s = rounds + 1, and stops once every state jumps
-to a cycle head.  A graph built with `reached_from` (the pending quotient
-of a family) skips the reachability search.  Means are compared as
-float64 quotients of integer sums; the solve raises ValueError unless
-states**2 * max|w| < 2**52, under which distinct means of cycles of at
-most `states` edges stay distinct and correctly ordered as floats and
-every integer below fits in int64.
+Every graph the solver reads meets one contract, which its builders
+guarantee: every state is reachable from state 0 and has an outgoing
+edge.  The coverage automaton (`covering.coverage_graph`) is built on its
+reachable states only, by rule, and the pending quotient of a family
+(`families.pending_graph`) on its reachable classes; both always have an
+edge out.  The solver repairs nothing: a state without an outgoing edge
+raises ValueError, and the value is the minimum over all cycles of the
+graph, which under the contract are the cycles reachable from state 0.
+
+`minimum_cycle_mean` runs Howard policy iteration (Cochet-Terrasson,
+Cohen, Gaubert, McGettrick & Quadrat 1998; Dasdan 2004).  A policy picks
+one outgoing edge per state; the cycles of the policy bound the minimum
+mean from above and the policy values steer the switch to better edges.
+The iteration is exact: each policy cycle's mean is reduced to p/q, a
+state's bias is the integer q*dist - p*steps of its policy path, and an
+edge to a state of equal mean is scored by the integer q*w - p + bias, so
+no tolerance decides a switch and the iteration stops at an optimal
+policy.  Policy values come from pointer doubling that carries each
+state's path weight and length as one int64, dist << s | steps with
+s = rounds + 1, and stops once every state jumps to a cycle head.  Means
+are compared as float64 quotients of integer sums; the solve raises
+ValueError unless states**2 * max|w| < 2**52, under which distinct means
+of cycles of at most `states` edges stay distinct and correctly ordered
+as floats and every integer below fits in int64.
 
 Nothing the iteration finds is returned unchecked: every value p/q is
 proved by two exact integer checks, explicit code that raises
@@ -36,7 +42,7 @@ smaller mean, and raises CertificateError.
 
 The cycle witness of `extract_min_mean_cycle` is recovered by reweighting
 edges with the certified mean p/q (w' = q*w - p), computing shortest-path
-potentials from the source with the same Bellman-Ford rounds and walking
+potentials from state 0 with the same Bellman-Ford rounds and walking
 the tight subgraph: a cycle is tight iff its reweighted length is zero
 iff its mean is optimal.
 """
@@ -59,13 +65,9 @@ class CertificateError(RuntimeError):
 
 class Graph:
     """Directed multigraph: edge k runs from src[k] to dst[k] with integer
-    weight weight[k] and payload label[k], all 1-D numpy arrays.
-    `reached_from`, when given, is a state from which every state is
-    reachable, so `restrict_reachable` from it runs no search."""
+    weight weight[k] and payload label[k], all 1-D numpy arrays."""
 
-    def __init__(
-        self, num_states: int, src=(), dst=(), weight=(), label=None, *, reached_from=None
-    ):
+    def __init__(self, num_states: int, src=(), dst=(), weight=(), label=None):
         self.num_states = int(num_states)
         self.src = np.asarray(src, dtype=np.int64)
         self.dst = np.asarray(dst, dtype=np.int64)
@@ -75,66 +77,6 @@ class Graph:
         self.label = np.asarray(label)
         if not len(self.src) == len(self.dst) == len(self.weight) == len(self.label):
             raise ValueError("edge arrays differ in length")
-        self._reached_from = reached_from  # a source that reaches every state
-
-    def induced(self, keep: np.ndarray) -> "Graph":
-        """Subgraph on the states where keep is True, renumbered in order;
-        the graph itself when keep holds everywhere."""
-        if keep.all():
-            return self
-        new = np.cumsum(keep) - 1
-        e = keep[self.src] & keep[self.dst]
-        return Graph(
-            int(np.count_nonzero(keep)),
-            new[self.src[e]], new[self.dst[e]], self.weight[e], self.label[e],
-        )
-
-    def restrict_reachable(self, source: int) -> tuple["Graph", int]:
-        """Subgraph induced by the states reachable from source, states
-        renumbered in order; returns (subgraph, new index of source).  The
-        subgraph remembers its source, so restricting it again from there
-        skips the search."""
-        if self._reached_from == source:
-            return self, source
-        seen = _reachable(self.num_states, self.src, self.dst, source)
-        sub, s = self.induced(seen), int(np.count_nonzero(seen[:source]))
-        sub._reached_from = s
-        return sub, s
-
-
-def _reachable(n: int, src: np.ndarray, dst: np.ndarray, source: int) -> np.ndarray:
-    """Mask of the states reachable from source: a BFS that expands a whole
-    frontier per step over the edges grouped by tail state."""
-    heads = dst[np.argsort(src, kind="stable")]
-    count = np.bincount(src, minlength=n)
-    first = np.cumsum(count) - count
-    seen = np.zeros(n, dtype=bool)
-    seen[source] = True
-    slot = np.zeros(n, dtype=np.int64)
-    frontier = np.array([source], dtype=np.int64)
-    while frontier.size:
-        k = count[frontier]
-        runs = np.repeat(first[frontier] - (np.cumsum(k) - k), k)
-        nxt = heads[runs + np.arange(runs.size)]
-        nxt = nxt[~seen[nxt]]
-        seen[nxt] = True
-        # keep one copy of each state: the position its slot ends up naming
-        order = np.arange(nxt.size)
-        slot[nxt] = order
-        frontier = nxt[slot[nxt] == order]
-    return seen
-
-
-def _reaches_cycle(g: Graph) -> np.ndarray:
-    """Mask of the states with an infinite walk: dead ends are dropped
-    until every kept state has an edge to a kept state."""
-    keep = np.ones(g.num_states, dtype=bool)
-    while True:
-        has_out = np.zeros(g.num_states, dtype=bool)
-        has_out[g.src[keep[g.dst]]] = True
-        if not (keep & ~has_out).any():
-            return keep
-        keep &= has_out
 
 
 def _policy_values(succ: np.ndarray, cost: np.ndarray):
@@ -284,15 +226,19 @@ def _settle(pot, rw, src, dst, into: _InEdges):
     raise CertificateError("the reweighted graph has a cycle of negative length")
 
 
-def _solve(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> Fraction:
-    """Certified minimum cycle mean of a graph in which every state has an
-    outgoing edge; ValueError unless n**2 * max|w| < 2**52."""
+def minimum_cycle_mean(g: Graph) -> Fraction:
+    """Exact, certified minimum mean weight over the directed cycles of g;
+    ValueError if a state of g has no outgoing edge, or unless
+    states**2 * max|w| < 2**52."""
+    n, src, dst, w = g.num_states, g.src, g.dst, g.weight
+    count = np.bincount(src, minlength=n)
+    if not n or not count.all():
+        raise ValueError("the graph needs states, each with an outgoing edge")
     size = n * n * max(-int(w.min()), int(w.max()))
     if size >= 1 << 52:
         raise ValueError(f"states**2 * max|w| = {size} is not below 2**52")
     order = np.argsort(src, kind="stable")
     src, dst, w = src[order], dst[order], w[order]
-    count = np.bincount(src, minlength=n)
     first = np.cumsum(count) - count
     policy = _first_edge(w == np.minimum.reduceat(w, first)[src], first)
     policy, values = _improve(policy, src, dst, w, first)
@@ -306,38 +252,27 @@ def _solve(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> Fraction:
     return mean
 
 
-def minimum_cycle_mean(g: Graph, source: int = 0) -> Fraction:
-    """Exact minimum mean weight over directed cycles reachable from
-    source; ValueError if there is none."""
-    sub, _ = g.restrict_reachable(source)
-    sub = sub.induced(_reaches_cycle(sub))
-    if not len(sub.src):
-        raise ValueError("no cycle reachable from source")
-    return _solve(sub.num_states, sub.src, sub.dst, sub.weight)
+def extract_min_mean_cycle(g: Graph) -> tuple[Fraction, list[object]]:
+    """(mean, edge labels around one minimum-mean cycle) of a graph that
+    meets the contract: every state reachable from state 0.
 
-
-def extract_min_mean_cycle(g: Graph, source: int = 0) -> tuple[Fraction, list[object]]:
-    """(mean, edge labels around one minimum-mean cycle).
-
-    Deterministic: shortest-path potentials from source under q*w - p,
-    settled by the certificate's Bellman-Ford rounds from 0 at the source
+    Deterministic: shortest-path potentials from state 0 under q*w - p,
+    settled by the certificate's Bellman-Ford rounds from 0 at state 0
     and INF elsewhere, then a smallest-index DFS over tight edges.  Every
-    state of the reachable subgraph gets its true distance: values that
-    start from INF stay near INF, far above any path from the source."""
-    sub, s = g.restrict_reachable(source)
-    mean = minimum_cycle_mean(sub, s)  # sub remembers s: no second search
-    rw = mean.denominator * sub.weight - mean.numerator  # no negative cycles
-    start = np.full(sub.num_states, INF, dtype=np.int64)
-    start[s] = 0
-    pot = _settle(start, rw, sub.src, sub.dst, _InEdges(sub.dst, sub.num_states))
-    return mean, _tight_cycle(sub, rw, pot, mean)
+    state gets its true distance from state 0."""
+    mean = minimum_cycle_mean(g)
+    rw = mean.denominator * g.weight - mean.numerator  # no negative cycles
+    start = np.full(g.num_states, INF, dtype=np.int64)
+    start[0] = 0
+    pot = _settle(start, rw, g.src, g.dst, _InEdges(g.dst, g.num_states))
+    return mean, _tight_cycle(g, rw, pot, mean)
 
 
-def _tight_cycle(sub: Graph, rw: np.ndarray, pot: np.ndarray, mean: Fraction) -> list[object]:
+def _tight_cycle(g: Graph, rw: np.ndarray, pot: np.ndarray, mean: Fraction) -> list[object]:
     """Labels around the first cycle that a smallest-index DFS meets in
     the subgraph of tight edges (pot[u] + rw = pot[v]), checked to have
     mean `mean`."""
-    src, dst, wgt = sub.src, sub.dst, sub.weight
+    src, dst, wgt = g.src, g.dst, g.weight
     ks = np.flatnonzero(pot[src] + rw == pot[dst])
     ks = ks[np.lexsort((wgt[ks], dst[ks], src[ks]))]
     tight: dict[int, list[int]] = {}
@@ -363,7 +298,7 @@ def _tight_cycle(sub: Graph, rw: np.ndarray, pot: np.ndarray, mean: Fraction) ->
                     cut = entry[v]
                     cycle = (path[cut + 1 :] if cut >= 0 else list(path)) + [k]
                     _check_cycle(cycle, src, dst, wgt, mean)
-                    return sub.label[cycle].tolist()
+                    return g.label[cycle].tolist()
                 if not color.get(v):
                     color[v] = 1
                     entry[v] = len(path)

@@ -277,5 +277,19 @@ def family_to_json(family: SigmaFamily) -> dict:
     }
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def family_from_json(data: dict) -> SigmaFamily:
-    return SigmaFamily(int(data["n"]), [[tuple(c) for c in member] for member in data["members"]])
+    """The family of its JSON mirror; ParseError unless `n` is an integer,
+    `members` a list of lists and every cell a pair of integers."""
+    if not isinstance(data, dict) or not _is_int(data.get("n")):
+        raise ParseError("family JSON needs an integer 'n'", 0)
+    members = data.get("members")
+    if not isinstance(members, list) or not all(isinstance(m, list) for m in members):
+        raise ParseError("family JSON 'members' must be a list of cell lists", 0)
+    for c in (c for m in members for c in m):
+        if not (isinstance(c, list) and len(c) == 2 and all(map(_is_int, c))):
+            raise ParseError(f"family JSON cell {c!r} is not a pair of integers", 0)
+    return SigmaFamily(data["n"], [[tuple(c) for c in member] for member in members])

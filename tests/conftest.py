@@ -13,7 +13,10 @@ of the last `width` columns (the state space the library used before its
 transfer table on width - 1 columns), the transfer table read as a graph
 (the graph the library solved before its quotient by pending members),
 that quotient on every class (the graph the library searched for
-reachable classes before it kept only those), the member pruning by
+reachable classes before it kept only those), the coverage automaton on
+all 2**span masks and the reachability search by a numpy BFS (the graph
+and the search the library used before it built the reachable coverage
+states by rule), the member pruning by
 shifted containment of SupportSets (the pruning the library ran before
 its bitmasks), policy values over two arrays and every doubling round
 (the evaluation the library ran before it packed them),
@@ -242,6 +245,60 @@ def oracle_distances(n: int, source: int, src, dst, rw) -> np.ndarray:
             return pot
         pot = nxt
     raise ValueError("the reweighted graph has a negative cycle")
+
+
+def oracle_reachable(g, source: int = 0) -> np.ndarray:
+    """Mask of the states of g reachable from source: a BFS that expands
+    a whole frontier per step over the edges grouped by tail state."""
+    n = g.num_states
+    heads = g.dst[np.argsort(g.src, kind="stable")]
+    count = np.bincount(g.src, minlength=n)
+    first = np.cumsum(count) - count
+    seen = np.zeros(n, dtype=bool)
+    seen[source] = True
+    slot = np.zeros(n, dtype=np.int64)
+    frontier = np.array([source], dtype=np.int64)
+    while frontier.size:
+        k = count[frontier]
+        runs = np.repeat(first[frontier] - (np.cumsum(k) - k), k)
+        nxt = heads[runs + np.arange(runs.size)]
+        nxt = nxt[~seen[nxt]]
+        seen[nxt] = True
+        # keep one copy of each state: the position its slot ends up naming
+        order = np.arange(nxt.size)
+        slot[nxt] = order
+        frontier = nxt[slot[nxt] == order]
+    return seen
+
+
+def oracle_restrict_reachable(g, source: int = 0):
+    """(subgraph of g induced by the states reachable from source, states
+    renumbered in order; new index of source)."""
+    from sigmadim.meancycle import Graph
+
+    keep = oracle_reachable(g, source)
+    new = np.cumsum(keep) - 1
+    e = keep[g.src] & keep[g.dst]
+    sub = Graph(
+        int(np.count_nonzero(keep)), new[g.src[e]], new[g.dst[e]], g.weight[e], g.label[e]
+    )
+    return sub, int(new[source])
+
+
+def oracle_coverage_graph(e):
+    """The coverage automaton on all 2**span masks, reachable from state 0
+    or not: per state, skip (only if bit 0 is covered), then place."""
+    from sigmadim.meancycle import Graph
+
+    span = e.span
+    if span == 0:
+        return Graph(1, [0], [0], [1], [1])  # must place at every position
+    states = np.arange(1 << span, dtype=np.int64)
+    src = np.repeat(states, 2)
+    dst = np.stack((states >> 1, (states | e.mask()) >> 1), axis=1).ravel()
+    placed = np.tile(np.array([0, 1], dtype=np.int64), 1 << span)
+    ok = (placed == 1) | (src & 1 == 1)
+    return Graph(1 << span, src[ok], dst[ok], placed[ok], placed[ok])
 
 
 def oracle_pick_graph(family):

@@ -222,6 +222,26 @@ class TestExitCodes:
         assert out == ""
         assert "cells must lie in N x" in err
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"members": [[[0, 1]]]},
+            {"n": "1", "members": [[[0, 1]]]},
+            {"n": 1, "members": [[0, 1]]},
+            {"n": 1, "members": 5},
+            {"n": 1, "members": [[[0, 1, 2]]]},
+            {"n": 1, "members": [[[0, 1.5]]]},
+        ],
+    )
+    @pytest.mark.parametrize("verb", [["sdim"], ["free", "--set", "{(0,1)}"]])
+    def test_malformed_family_json(self, data, verb, tmp_path):
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps(data))
+        code, out, err = run(verb[:1] + ["--family", str(fam)] + verb[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: family JSON"), err
+
     def test_unit_ideal(self):
         code, _, err = run(["sdim", "--monomial", "1", "--imax", "3"])
         assert code == 4

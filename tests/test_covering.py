@@ -11,6 +11,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sigmadim import (
@@ -20,7 +21,15 @@ from sigmadim import (
     reflect,
     tau_interval,
 )
-from conftest import brute_tau_interval, oracle_tau_interval
+from sigmadim.covering import coverage_graph
+from sigmadim.meancycle import extract_min_mean_cycle
+from conftest import (
+    brute_tau_interval,
+    oracle_coverage_graph,
+    oracle_reachable,
+    oracle_restrict_reachable,
+    oracle_tau_interval,
+)
 
 
 class TestIntSet:
@@ -169,22 +178,76 @@ class TestOptimalComplement:
 
 
 def test_coverage_graph_edges_match_a_loop():
-    from sigmadim.covering import coverage_graph
-
+    # a plain search from state 0 over the skip and place steps; the
+    # states it meets, in increasing mask order, with their steps in order
     for elements in ([0], [0, 1], [0, 2, 3], [0, 1, 5], [0, 3, 4, 7]):
         e = IntSet(elements)
-        want = []
-        for s in range(1 << e.span) if e.span else [0]:
-            if e.span and s & 1:
-                want.append((s, s >> 1, 0, 0))
-            want.append((s, (s | e.mask()) >> 1 if e.span else 0, 1, 1))
+
+        def steps(s):
+            if s & 1:
+                yield s >> 1, 0
+            yield (s | e.mask()) >> 1, 1
+
+        seen, stack = {0}, [0]
+        while stack:
+            for t, _ in steps(stack.pop()):
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        index = {s: i for i, s in enumerate(sorted(seen))}
+        want = [(index[s], index[t], p, p) for s in sorted(seen) for t, p in steps(s)]
         g = coverage_graph(e)
         got = list(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist(), g.label.tolist()))
         assert got == want, e
 
 
+def every_set(max_span: int):
+    """Every IntSet of span at most max_span."""
+    yield IntSet([0])
+    for span in range(1, max_span + 1):
+        for inner in range(1 << (span - 1)):
+            yield IntSet([0, span] + [k for k in range(1, span) if inner >> (k - 1) & 1])
+
+
+RULE_RNG = random.Random(61)
+RULE_SETS = list(every_set(10)) + [
+    IntSet({0, span} | {RULE_RNG.randint(0, span) for _ in range(RULE_RNG.randint(1, 3))})
+    for span in [RULE_RNG.randint(11, 16) for _ in range(24)]
+]
+
+
+def test_coverage_graph_is_the_searched_full_automaton():
+    # the states built by rule are the full automaton's states that a
+    # search from state 0 reaches: the same graph, edge for edge
+    dropped = 0
+    for e in RULE_SETS:
+        full = oracle_coverage_graph(e)
+        want, s = oracle_restrict_reachable(full)
+        g = coverage_graph(e)
+        assert s == 0 and g.num_states == want.num_states, e
+        for a in ("src", "dst", "weight", "label"):
+            assert np.array_equal(getattr(g, a), getattr(want, a)), (e, a)
+        dropped += full.num_states - g.num_states
+    assert dropped > 100_000
+
+
+def test_coverage_graph_meets_the_solver_contract():
+    for e in RULE_SETS:
+        g = coverage_graph(e)
+        assert oracle_reachable(g).all(), e
+        assert np.bincount(g.src, minlength=g.num_states).all(), e
+
+
+def test_density_and_complement_match_the_searched_automaton():
+    for e in RULE_SETS:
+        mean, labels = extract_min_mean_cycle(oracle_restrict_reachable(oracle_coverage_graph(e))[0])
+        comp = optimal_complement(e)
+        assert covering_density(e) == mean == comp.density, e
+        assert comp.period == len(labels), e
+        assert comp.offsets == tuple(t for t, placed in enumerate(labels) if placed), e
+
+
 def test_coverage_graph_cap():
-    from sigmadim.covering import coverage_graph
     from sigmadim.families import STATE_BIT_CAP, CapExceededError
 
     with pytest.raises(CapExceededError):

@@ -141,7 +141,7 @@ import sigmadim.engine as engine
 from sigmadim import CertificateError, SigmaFamily
 
 real = engine.extract_min_mean_cycle
-engine.extract_min_mean_cycle = lambda g, source=0: (real(g, source)[0], [0, 0])
+engine.extract_min_mean_cycle = lambda g: (real(g)[0], [0, 0])
 try:
     engine.sigma_dim_family(SigmaFamily(1, [[(0, 1), (1, 1)]]), check=True)
 except CertificateError as exc:
@@ -156,8 +156,8 @@ class TestCertificateChecks:
     def _patch_witness(self, monkeypatch, module, mean=None, labels=None):
         real = module.extract_min_mean_cycle
 
-        def corrupted(g, source=0):
-            m, lab = real(g, source)
+        def corrupted(g):
+            m, lab = real(g)
             return (m if mean is None else mean), (lab if labels is None else labels)
 
         monkeypatch.setattr(module, "extract_min_mean_cycle", corrupted)
@@ -187,7 +187,7 @@ class TestCertificateChecks:
     def test_covering_density_bracket(self, monkeypatch):
         import sigmadim.covering
 
-        monkeypatch.setattr(sigmadim.covering, "minimum_cycle_mean", lambda g, source=0: Fraction(0))
+        monkeypatch.setattr(sigmadim.covering, "minimum_cycle_mean", lambda g: Fraction(0))
         with pytest.raises(CertificateError, match="farther than"):
             sigmadim.covering.covering_density(IntSet([0, 1]), check=True)
 

@@ -20,6 +20,8 @@ from conftest import (
     oracle_distances,
     oracle_pick_graph,
     oracle_policy_values,
+    oracle_reachable,
+    oracle_restrict_reachable,
     pick_graph,
 )
 from sigmadim import CertificateError, SigmaFamily
@@ -76,13 +78,15 @@ def test_two_cycles():
     assert minimum_cycle_mean(g) == Fraction(1, 2)
 
 
-def test_unreachable_cycle_ignored():
+def test_every_cycle_counts():
+    # the value is the minimum over all cycles of the graph: the builders
+    # make every state reachable from state 0, the solver searches nothing
     g = graph(3, [
         (0, 0, 5),
         (1, 2, 0),
-        (2, 1, 0),  # cheaper but unreachable from 0
+        (2, 1, 0),  # cheaper, and not reachable from 0
     ])
-    assert minimum_cycle_mean(g, source=0) == 5
+    assert minimum_cycle_mean(g) == 0
 
 
 def test_no_cycle_raises():
@@ -104,6 +108,16 @@ def test_extraction_walks_a_real_cycle():
     assert sorted(labels) == ["b", "c"]
 
 
+def meet_the_contract(rng, nv: int, edges: list) -> list:
+    """The edges plus, for every state v > 0, one edge into it from a
+    smaller state and one out of it, so that every state is reachable
+    from state 0 and has an outgoing edge."""
+    for v in range(1, nv):
+        edges.append((rng.randrange(v), v, rng.randint(0, 6)))
+        edges.append((v, rng.randrange(nv), rng.randint(0, 6)))
+    return edges
+
+
 def test_random_graphs_match_brute_force():
     rng = random.Random(23)
     for _ in range(60):
@@ -112,73 +126,63 @@ def test_random_graphs_match_brute_force():
             (rng.randrange(nv), rng.randrange(nv), rng.randint(0, 4))
             for _ in range(rng.randint(1, 12))
         ]
-        # ensure a reachable cycle exists
-        g = graph(nv, edges + [(0, 0, 5)])
+        g = graph(nv, meet_the_contract(rng, nv, edges + [(0, 0, 5)]))
         expect = brute_min_mean(g, 0)
-        assert minimum_cycle_mean(g, 0) == expect
-        mean, labels = extract_min_mean_cycle(g, 0)
+        assert minimum_cycle_mean(g) == expect
+        mean, labels = extract_min_mean_cycle(g)
         assert mean == expect
         assert len(labels) >= 1
 
 
 def random_graph(rng, feature: str) -> Graph:
-    """A random graph with a reachable cycle and the named feature."""
+    """A random graph that meets the solver's contract, with the named
+    feature."""
     nv = rng.randint(2, 9)
-    states, edges = nv, []
+    edges = []
     for _ in range(rng.randint(nv, 3 * nv)):
         u, v = rng.randrange(nv), rng.randrange(nv)
         if u != v:
             edges.append((u, v, rng.randint(0, 6)))
     edges.append((0, 1, rng.randint(0, 6)))
     edges.append((1, 0, rng.randint(0, 6)))
-    if feature == "dead_ends":
-        # states with no way out, entered from everywhere
-        states = nv + 2
-        for u in range(nv):
-            edges.append((u, nv + rng.randint(0, 1), rng.randint(0, 6)))
-        edges.append((nv, nv + 1, 0))
-    elif feature == "unreachable_cheaper":
-        # a zero-mean cycle that only leads into the graph
-        states = nv + 2
-        edges += [(nv, nv + 1, 0), (nv + 1, nv, 0), (nv + 1, rng.randrange(nv), 0)]
-    elif feature == "parallel":
+    if feature == "parallel":
         for k in rng.sample(range(len(edges)), min(4, len(edges))):
             edges.append(edges[k][:2] + (rng.randint(0, 6),))
     elif feature == "self_loops":
         for u in rng.sample(range(nv), rng.randint(1, nv)):
             edges.append((u, u, rng.randint(0, 6)))
-    g = graph(states, edges)
+    g = graph(nv, meet_the_contract(rng, nv, edges))
     if feature == "zero_weight":
         g.weight[rng.sample(range(len(g.src)), len(g.src) // 2)] = 0
     return g
 
 
-@pytest.mark.parametrize(
-    "feature", ["dead_ends", "unreachable_cheaper", "parallel", "zero_weight", "self_loops"]
-)
+@pytest.mark.parametrize("feature", ["parallel", "zero_weight", "self_loops"])
 def test_policy_iteration_matches_karp(feature):
     rng = random.Random(feature)
     for _ in range(80):
         g = random_graph(rng, feature)
+        assert oracle_reachable(g).all()
         expect = karp_min_mean(g, 0)
-        assert minimum_cycle_mean(g, 0) == expect, (g.src, g.dst, g.weight)
-        mean, labels = extract_min_mean_cycle(g, 0)
+        assert minimum_cycle_mean(g) == expect, (g.src, g.dst, g.weight)
+        mean, labels = extract_min_mean_cycle(g)
         assert mean == expect and labels
 
 
-def test_dead_ends_are_trimmed():
+def test_dead_end_raises():
     g = graph(4, [
         (0, 1, 1),
         (1, 0, 1),
         (1, 2, 0),
-        (2, 3, 0),  # 2 and 3 lead nowhere
+        (2, 3, 0),  # 3 has no outgoing edge
     ])
-    assert minimum_cycle_mean(g) == 1
-    with pytest.raises(ValueError):
-        minimum_cycle_mean(g, source=2)
+    with pytest.raises(ValueError, match="outgoing edge"):
+        minimum_cycle_mean(g)
+    with pytest.raises(ValueError, match="outgoing edge"):
+        extract_min_mean_cycle(g)
 
 
-def test_restrict_reachable_renumbers_in_order():
+def test_oracle_restriction_renumbers_in_order():
     rng = random.Random(7)
     for _ in range(40):
         nv = rng.randint(1, 12)
@@ -193,37 +197,12 @@ def test_restrict_reachable_renumbers_in_order():
                     reach.add(b)
                     stack.append(b)
         new = {old: i for i, old in enumerate(sorted(reach))}
-        sub, s = g.restrict_reachable(source)
+        sub, s = oracle_restrict_reachable(g, source)
         assert sub.num_states == len(reach) and s == new[source]
         kept = [k for k, (a, _) in enumerate(edges) if a in reach]
         assert sub.label.tolist() == kept
         assert sub.src.tolist() == [new[edges[k][0]] for k in kept]
         assert sub.dst.tolist() == [new[edges[k][1]] for k in kept]
-
-
-def test_witness_search_runs_one_reachability_search(monkeypatch):
-    real = meancycle._reachable
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(meancycle, "_reachable", counting)
-    edges = [
-        (0, 1, 1),
-        (1, 0, 1),
-        (2, 2, 0),  # cheaper, but unreachable from 0
-        (1, 3, 5),
-    ]
-    g = graph(4, edges)
-    assert extract_min_mean_cycle(g) == (1, [None, None])
-    assert len(calls) == 1
-    sub, s = g.restrict_reachable(0)
-    assert sub.induced(np.ones(sub.num_states, dtype=bool)) is sub
-    assert sub.restrict_reachable(s) == (sub, s) and len(calls) == 2
-    graph(4, edges).restrict_reachable(0)  # a new graph remembers no source
-    assert len(calls) == 3
 
 
 def random_pick_family(rng, max_bits, full_width=False):
@@ -265,27 +244,26 @@ def test_coverage_graphs_match_karp():
         assert minimum_cycle_mean(g) == karp_min_mean(g), e
 
 
-def oracle_extract(g: Graph, source: int = 0):
+def oracle_extract(g: Graph):
     """extract_min_mean_cycle with its potentials from plain relaxation
     rounds instead of the certificate's Bellman-Ford."""
-    sub, s = g.restrict_reachable(source)
-    mean = minimum_cycle_mean(g, source)
-    rw = mean.denominator * sub.weight - mean.numerator
-    pot = oracle_distances(sub.num_states, s, sub.src, sub.dst, rw)
-    return mean, meancycle._tight_cycle(sub, rw, pot, mean)
+    mean = minimum_cycle_mean(g)
+    rw = mean.denominator * g.weight - mean.numerator
+    pot = oracle_distances(g.num_states, 0, g.src, g.dst, rw)
+    return mean, meancycle._tight_cycle(g, rw, pot, mean)
 
 
 def test_witnesses_match_plain_relaxation_potentials():
     rng = random.Random(59)
     graphs = []
-    for feature in ("dead_ends", "unreachable_cheaper", "zero_weight"):
+    for feature in ("parallel", "self_loops", "zero_weight"):
         for _ in range(40):
             g = random_graph(rng, feature)  # labels become edge indices
             graphs.append(Graph(g.num_states, g.src, g.dst, g.weight, np.arange(len(g.src))))
     for _ in range(40):
         span = rng.randint(0, 10)
         graphs.append(coverage_graph(IntSet({0, span} | {rng.randint(0, span) for _ in range(3)})))
-    graphs += [pick_graph(random_pick_family(rng, 10)) for _ in range(40)]
+    graphs += [oracle_restrict_reachable(pick_graph(random_pick_family(rng, 10)))[0] for _ in range(40)]
     for g in graphs:
         assert extract_min_mean_cycle(g) == oracle_extract(g), (g.src, g.dst, g.weight)
 
@@ -301,7 +279,7 @@ def test_exact_iteration_matches_karp():
     # the value step alone finds the tie graph's mean, with no tolerance
     assert minimum_cycle_mean(tie_graph()) == Fraction(3, 2)
     rng = random.Random(41)
-    for feature in ["dead_ends", "parallel", "zero_weight", "self_loops"] * 20:
+    for feature in ["parallel", "zero_weight", "self_loops"] * 27:
         g = random_graph(rng, feature)
         assert minimum_cycle_mean(g) == karp_min_mean(g)
         g.weight -= 3  # negative weights too
@@ -478,12 +456,34 @@ except CertificateError as exc:
 """
 
 
-def test_corrupted_policy_cycle_under_optimize():
+def run_optimized(script: str) -> str:
+    """Stdout of the script run under python -O; it must exit cleanly."""
     src = str(Path(sigmadim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-O", "-c", CORRUPT_CYCLE],
+        [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("caught:"), done.stdout
+    return done.stdout
+
+
+def test_corrupted_policy_cycle_under_optimize():
+    out = run_optimized(CORRUPT_CYCLE)
+    assert out.startswith("caught:"), out
+
+
+# a graph whose state 2 has no outgoing edge
+DEAD_END = """
+from sigmadim.meancycle import Graph, minimum_cycle_mean
+g = Graph(3, src=[0, 1, 1], dst=[1, 0, 2], weight=[1, 1, 0])
+try:
+    minimum_cycle_mean(g)
+except ValueError as exc:
+    print("caught:", exc)
+"""
+
+
+def test_dead_end_raises_under_optimize():
+    out = run_optimized(DEAD_END)
+    assert out.startswith("caught:") and "outgoing edge" in out, out
