@@ -3,10 +3,11 @@
 Exact values for monomial sigma-ideals and univariate sigma-monomials
 (covering density), convergent upper bounds for general systems
 (truncated Groebner dimension sequences), plus the supporting machinery:
-free-set tests, minimum hitting sets, the column-pick automaton of a
-family (window numbers, and interval transversals tau(E, i) as the window
-numbers of the family {-E}), a coverage automaton with exact
-minimum-mean-cycle search, and a finite-field solution oracle.
+free-set tests, minimum hitting sets, one column-pick automaton of a
+family on obligation states (window numbers by min-plus passes, the
+family value and, on the family {-E}, interval transversals tau(E, i)
+and covering densities by an exact minimum-mean-cycle search), and a
+finite-field solution oracle.
 """
 
 from .covering import IntSet, PeriodicComplement, covering_density, optimal_complement, reflect, tau_interval

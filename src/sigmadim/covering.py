@@ -5,23 +5,21 @@ E covering {1..i}, and the covering density c(E) = lim tau(E, i)/i.  Both
 are computed exactly.  tau is a window transversal number: a translate
 at position p covers y iff p lies in y - E, a shift of -E, so tau(E, i)
 is the window number of the one-member family {-E} at order
-i + span - 1, read off the min-plus pass of the family pick automaton
+i + span - 1, read off the min-plus pass of its automaton
 (`families.iter_window_taus`; span + 1 state bits, capped at
 STATE_BIT_CAP).
-c is the minimum mean cycle of the coverage-state automaton, which
-`meancycle` finds by policy iteration and certifies with a witness cycle
-and an integer potential.
+c is the minimum mean cycle of the same automaton, which `meancycle`
+finds by policy iteration and certifies with a witness cycle and an
+integer potential; `cover` and the density cap the span at
+STATE_BIT_CAP instead.
 
-The automaton state is a (span)-bit mask recording which of the next span
-positions are already covered by translates placed so far.  Scanning one
-position decides whether to place a translate there (weight 1) or not
-(weight 0); the edge exists only if the position scanned ends up covered.
-Only the states reachable from state 0 are built, by a rule rather than a
-search (`coverage_graph`), with the edges as numpy arrays, two candidate
-steps per state, for spans up to STATE_BIT_CAP.
-Infinite feasible walks are exactly the complements covering a ray, so
-periodic complements correspond to cycles and the optimal density to the
-minimum cycle mean.
+On {-E} the obligation state (`families.obligation_automaton`) is the
+span-bit mask of the next span positions already covered by the
+translates placed so far: scanning one position either skips it, allowed
+only if it is covered, or places a translate there (weight and label 1),
+and the states are numbered by increasing mask.  Infinite feasible walks
+are exactly the complements covering a ray, so periodic complements
+correspond to cycles and the optimal density to the minimum cycle mean.
 """
 
 from __future__ import annotations
@@ -29,10 +27,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
-from .families import STATE_BIT_CAP, CapExceededError, SigmaFamily, tau_family, window_taus
-from .meancycle import CertificateError, Graph, extract_min_mean_cycle, minimum_cycle_mean
+from .families import (
+    STATE_BIT_CAP,
+    CapExceededError,
+    SigmaFamily,
+    obligation_automaton,
+    tau_family,
+    window_taus,
+)
+from .meancycle import CertificateError, extract_min_mean_cycle, minimum_cycle_mean
 
 
 class IntSet:
@@ -121,40 +124,20 @@ def tau_interval(e: IntSet, i: int) -> int:
 
 def _translates(e: IntSet) -> SigmaFamily:
     """The one-member family {-E} in one variable; its window picks are
-    translate positions of E.  Its pick automaton has span + 1 state
-    bits, so spans from STATE_BIT_CAP on raise CapExceededError."""
+    translate positions of E.  Its automaton has span + 1 state bits
+    under the family cap, so tau at spans from STATE_BIT_CAP on raises
+    CapExceededError."""
     return SigmaFamily(1, [[(x, 1) for x in reflect(e).elements]])
 
 
-def coverage_graph(e: IntSet) -> Graph:
-    """The coverage-state automaton on the states reachable from state 0,
-    numbered in increasing mask order; edge labels are 0/1 placement bits.
-
-    The reachable states are exactly the masks OR_{k in P} (mask(E) >> k)
-    for P a subset of {1..span}: the state after a walk from state 0 is
-    fixed by its last span decisions (all of them on a shorter walk), a
-    placement k steps back contributing mask(E) >> k.  Conversely every pattern P is reachable: placing at
-    span positions in a row leads from state 0 to the full state (span
-    is in E), and from the full state any span decisions are allowed,
-    since each scanned position is already covered.  The graph meets the
-    solver's contract: every state is reachable from state 0, and placing
-    is always allowed."""
-    span, mask = e.span, e.mask()
-    if span > STATE_BIT_CAP:
+def _coverage(e: IntSet) -> SigmaFamily:
+    """{-E} under the cap of `cover` and the covering density, span at
+    most STATE_BIT_CAP; CapExceededError beyond."""
+    if e.span > STATE_BIT_CAP:
         raise CapExceededError(
-            f"coverage automaton needs {span} state bits (span), cap is {STATE_BIT_CAP}"
+            f"coverage automaton needs {e.span} state bits (span), cap is {STATE_BIT_CAP}"
         )
-    reached = np.zeros(1 << span, dtype=bool)
-    reached[0] = True
-    for k in range(1, span + 1):
-        reached[np.flatnonzero(reached) | (mask >> k)] = True
-    states = np.flatnonzero(reached)
-    # per state: skip (allowed only if bit 0 is covered), then place
-    src = np.repeat(np.arange(len(states)), 2)
-    dst = np.stack((states >> 1, (states | mask) >> 1), axis=1).ravel()
-    placed = np.tile(np.array([0, 1], dtype=np.int64), len(states))
-    ok = (placed == 1) | np.repeat(states & 1 == 1, 2)
-    return Graph(len(states), src[ok], np.searchsorted(states, dst[ok]), placed[ok], placed[ok])
+    return _translates(e)
 
 
 def covering_density(e: IntSet, check: bool = False) -> Fraction:
@@ -163,11 +146,12 @@ def covering_density(e: IntSet, check: bool = False) -> Fraction:
     With check=True the value is bracketed against tau(E, i)/i for a few
     window sizes: the finite ratios approach c from within
     (span + 1)/i."""
-    c = minimum_cycle_mean(coverage_graph(e))
+    family = _coverage(e)
+    c = minimum_cycle_mean(obligation_automaton(family))
     if check:
         span = e.span
         orders = (4 * (span + 1), 16 * (span + 1))
-        taus = window_taus(_translates(e), orders[-1] + span - 1)
+        taus = window_taus(family, orders[-1] + span - 1)
         for i in orders:
             ratio = Fraction(taus[i + span - 1], i)
             if abs(ratio - c) > Fraction(span + 1, i):
@@ -181,7 +165,7 @@ def optimal_complement(e: IntSet) -> PeriodicComplement:
     """A periodic complement achieving density exactly c(E), unrolled from
     a minimum-mean cycle of the coverage automaton.  Its density is checked
     to equal that cycle mean, so `comp.density` is c(E)."""
-    mean, labels = extract_min_mean_cycle(coverage_graph(e))
+    mean, labels = extract_min_mean_cycle(obligation_automaton(_coverage(e)))
     period = len(labels)
     offsets = [t for t, placed in enumerate(labels) if placed]
     comp = PeriodicComplement(period, offsets)

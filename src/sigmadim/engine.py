@@ -3,8 +3,8 @@
 Exact values:
   * univariate sigma-monomials, via covering density (1 - c(E));
   * squarefree monomial sigma-ideals given as families, via the minimum
-    mean cycle of the column-pick automaton, solved on its quotient by
-    pending members (`families.pending_graph`).
+    mean cycle of the column-pick automaton on obligation states
+    (`families.family_automaton`).
 
 Convergent upper bounds for general systems, via Krull dimensions of
 shift-generated truncations (the d-hat sequence); the bound is sound
@@ -25,15 +25,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .covering import IntSet, covering_density, reflect, tau_interval
+from .covering import IntSet, covering_density
 from .families import (
-    STATE_BIT_CAP,  # re-exported: the cap belongs to the pick automaton
+    STATE_BIT_CAP,  # re-exported: the cap belongs to the family automaton
     CapExceededError,
     EmptyDimension,
     SigmaFamily,
     UnitIdealError,
+    family_automaton,
     family_from_monomials,
-    pending_graph,
+    tau_family,
     window_taus,
 )
 from .groebner import LEX, GroebnerBasis, buchberger, eliminate, prefix_dimension
@@ -152,7 +153,7 @@ def sigma_dim_family(
     8 * width, when the caller has them, else off a pass of their own."""
     if not family.members:
         return Fraction(family.n)
-    graph = pending_graph(family)
+    graph = family_automaton(family)
     if not check:
         return family.n - minimum_cycle_mean(graph)
     c, picks = extract_min_mean_cycle(graph)
@@ -443,19 +444,20 @@ def sigma_dim(
     indices = {v.index for m in monomials for v in m.support()}
     if len(monomials) == 1 and len(indices) == 1 and n == 1:
         # univariate monomial: covering path, window dims from the
-        # interval-transversal identity d_i = i + 1 - tau(-E, i - max(E) + 1)
+        # interval-transversal identity d_i = i + 1 - tau(-E, i - max(E) + 1),
+        # the window number of the family {E} at order i - min(E)
         m = monomials[0]
         depth = _combinatorial_depth(i_max)
-        shifts = IntSet(v.shift for v in m.support())
-        top = max(v.shift for v in m.support())  # pre-normalization max(E)
-        neg = reflect(shifts)
+        family = family_from_monomials(monomials, n)
+        shifts = [v.shift for v in m.support()]
+        low, top = min(shifts), max(shifts)  # before normalization
         entries = []
         for i in range(depth + 1):  # before the covering solve: tau has the tighter cap
-            d = i + 1 if i < top else i + 1 - tau_interval(neg, i - top + 1)
+            d = i + 1 if i < top else i + 1 - tau_family(family, i - low)
             entries.append(DimEntry(i, d, True))
         value = sigma_dim_univariate_monomial(m, check=check)
         if check:
-            fam_value = sigma_dim_family(family_from_monomials(monomials, n))
+            fam_value = sigma_dim_family(family)
             if fam_value != value:
                 raise CertificateError(
                     f"covering value {value} differs from the family value {fam_value}"

@@ -3,33 +3,15 @@
 A squarefree sigma-monomial corresponds to a non-empty finite set of cells
 (shift, index) in N x {1..n}; a family of such supports encodes the
 monomial sigma-ideal generated by all forward shifts of its members.  This
-module owns the column-pick automaton: one transfer table over the pick
-patterns of the last width - 1 columns (`pick_automaton`, capped at
-STATE_BIT_CAP bits of n * width), read by finite-horizon min-plus passes
-for window transversal numbers and window dimensions.  It also tests free
-sets directly and computes the Krull dimension of ordinary monomial
-ideals by an exact minimum hitting set.
-
-The cycle-mean solve reads the table through its quotient by pending
-members (`pending_graph`).  A translate of a member is pending in a state
-when its last cell lies in a later column and no picked cell of the
-state hits it; the state's key packs one pending bit per such translate.
-States with equal keys have equal rows and successors in equal classes,
-since blocking and the next key depend only on the pending translates
-and the new column: the key is a congruence, and the quotient keeps every
-cycle and its mean.  The all-picked state has key 0 and is the source,
-class 0; every cycle is reachable from it, because picking a whole column
-is never blocked and the all-picked history admits every continuation.
-
-The quotient keeps only the classes reachable from class 0, found by a
-rule rather than a search.  A table state is reachable from the
-all-picked state iff it hits every member translate that lies inside its
-own width - 1 columns: appending its columns, oldest first, after an
-all-picked history checks only such translates and translates that meet
-the all-picked columns; and every state that steps reach had each of its
-columns checked when it was appended.  A class is reachable iff it holds
-a reachable state: a walk in the quotient from class 0 lifts, through
-the congruence, to a walk of states from the all-picked state.
+module owns the one automaton of the package, the column-pick automaton
+on obligation states (`obligation_automaton`): a state records which
+started member translates a picked cell already hits.  Window
+transversal numbers and window dimensions are finite-horizon min-plus
+passes over it, and the family value is its minimum cycle mean; both are
+capped at STATE_BIT_CAP bits of n * width (`family_automaton`).  On the
+family {-E} it is the coverage automaton of `covering`.  The module also
+tests free sets directly and computes the Krull dimension of ordinary
+monomial ideals by an exact minimum hitting set.
 """
 
 from __future__ import annotations
@@ -50,7 +32,7 @@ STATE_BIT_CAP = 20
 
 
 class CapExceededError(ValueError):
-    """Raised when the pick-automaton table would exceed the cap."""
+    """Raised when an automaton would exceed its state-bit cap."""
 
 
 class EmptyDimension:
@@ -130,7 +112,7 @@ class SigmaFamily:
     (small << l*n) & ~big == 0.  Candidates are tried by increasing size,
     and a SupportSet is built only for the members kept."""
 
-    __slots__ = ("n", "members", "width", "_pick_table")
+    __slots__ = ("n", "members", "width", "_automaton")
 
     def __init__(self, n: int, members: Iterable[SupportSet | Iterable[Cell]]):
         if n < 1:
@@ -165,7 +147,7 @@ class SigmaFamily:
                 key=SupportSet.sorted_cells,
             )
         )
-        self._pick_table: np.ndarray | None = None  # filled by pick_automaton
+        self._automaton: Graph | None = None  # filled by obligation_automaton
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -193,127 +175,97 @@ def family_from_monomials(monomials: Sequence[SigmaMonomial], n: int) -> SigmaFa
     return SigmaFamily(n, supports)
 
 
-def _ending_mask(s: SupportSet, n: int) -> int:
-    """Pattern bits of the translate of s whose last cell lies in the
-    newest column: a cell at shift a sits ord - a columns behind it."""
-    return sum(1 << ((s.ord - a) * n + j - 1) for a, j in s.cells)
+def obligation_automaton(family: SigmaFamily) -> Graph:
+    """The column-pick automaton of a family, on its obligation states.
+
+    A state is the bitmask of the started, not yet ended member translates
+    that a picked cell already hits.  Member s owns a block of ord(s) + 1
+    bits, and bit k of the block is its translate that ends k columns
+    from the new one; a cell at shift a of that translate lies in the new
+    column iff a = ord(s) - k.  A step appends the column pattern p,
+    costs its picks and is labeled p: with x = m | hit[p] it is allowed
+    iff x & low == low (every translate ending in the new column is hit)
+    and lands in (x >> 1) & store, which drops the ended translates and
+    leaves the top bit of each block, the translate starting next, unhit.
+    Whether a continuation is allowed depends only on the translates
+    still unhit, so the automaton has the windows and cycles of the pick
+    patterns themselves.
+
+    The states are those reached from the all-hit state, store, in at
+    most width - 1 vectorized rounds: a state depends only on the last
+    width - 1 columns, since a stored translate started within them, and
+    those columns are allowed after an all-hit history, which hits more.
+    Picking a whole column is never blocked (an ending translate has its
+    last cell in it), and width - 1 such picks lead from any state back
+    to the all-hit one, so every state is reachable from every other.  A
+    successor of a built state that was not built raises
+    CertificateError.  States are numbered by increasing mask, so the
+    all-hit state is the last; a state's edges follow in increasing
+    pattern order.  On the family {-E} a state is the mask of the next
+    span positions already covered, and the automaton is the coverage
+    automaton of E.  The masks are int64 while the blocks fit in 62 bits
+    and Python ints (object arrays) beyond.  The graph is built once per
+    family object and kept read-only; neither cap applies here
+    (`family_automaton`, `covering`)."""
+    if family._automaton is not None:
+        return family._automaton
+    n = family.n
+    column = [0] * n  # the obligation bits a pick of index j + 1 hits
+    low = store = base = 0
+    for s in family.members:
+        for a, j in s.cells:
+            column[j - 1] |= 1 << (base + s.ord - a)
+        low |= 1 << base
+        store |= ((1 << s.ord) - 1) << base
+        base += s.ord + 1
+    dtype = np.int64 if base <= 62 else object
+    hit = [0]
+    for bits in column:
+        hit += [h | bits for h in hit]
+    hit = np.array(hit, dtype=dtype)
+    states = frontier = np.array([store], dtype=dtype)
+    for _ in range(family.width - 1):
+        x = frontier[:, None] | hit
+        merged = np.concatenate((states, (x[(x & low) == low] >> 1) & store))
+        order = np.argsort(merged, kind="stable")  # built states first among equals
+        merged = merged[order]
+        first = np.ones(len(merged), dtype=bool)
+        first[1:] = merged[1:] != merged[:-1]
+        frontier = merged[first & (order >= len(states))]
+        if not len(frontier):
+            break
+        states = merged[first]
+    x = states[:, None] | hit
+    src, pick = np.nonzero((x & low) == low)
+    succ = (x[src, pick] >> 1) & store
+    dst = np.minimum(np.searchsorted(states, succ), len(states) - 1)
+    if not np.array_equal(states[dst], succ):
+        raise CertificateError(f"{family}: a successor of a built state was not built")
+    cost = np.array([p.bit_count() for p in range(1 << n)], dtype=np.int64)
+    graph = Graph(len(states), src, dst, cost[pick], pick)
+    for edges in (graph.src, graph.dst, graph.weight, graph.label):
+        edges.flags.writeable = False  # shared by every caller of the family
+    family._automaton = graph
+    return graph
 
 
-def pick_automaton(family: SigmaFamily) -> np.ndarray:
-    """Transfer table of the column-pick automaton.
-
-    A state is the pick pattern of the last width - 1 columns (n bits per
-    column, newest column in the low bits).  A step from state r appends
-    the column pattern p; step[r, p] is its cost popcount(p) when the
-    pattern (r << n) | p hits every member whose window ends at the new
-    column, and INF otherwise.  The step lands in the state
-    ((r << n) | p) & (len(step) - 1).  The table has 2^(n * width)
-    entries, capped at STATE_BIT_CAP bits.
-
-    The table is built once per family object and kept read-only on it."""
-    if family._pick_table is not None:
-        return family._pick_table
-    n, w = family.n, family.width
-    bits = n * w
+def family_automaton(family: SigmaFamily) -> Graph:
+    """`obligation_automaton` of a family with n * width at most
+    STATE_BIT_CAP, the cap of window numbers, tau and family values;
+    CapExceededError beyond."""
+    bits = family.n * family.width
     if bits > STATE_BIT_CAP:
         raise CapExceededError(
             f"pick automaton needs {bits} state bits (n*width), cap is {STATE_BIT_CAP}"
         )
-    patterns = np.arange(1 << bits, dtype=np.int64)
-    hit = np.ones(1 << bits, dtype=bool)
-    for s in family.members:
-        hit &= (patterns & _ending_mask(s, n)) != 0
-    picks = np.array([bin(p).count("1") for p in range(1 << n)], dtype=np.int64)
-    step = np.where(hit.reshape(-1, 1 << n), picks, INF)
-    step.flags.writeable = False
-    family._pick_table = step
-    return step
-
-
-def _pending_masks(family: SigmaFamily) -> list[int]:
-    """State bits of the cells already seen of each translate still to
-    end, distinct masks only: the translate of member s whose last cell
-    lands j columns after the newest one, for j in 1..ord(s), has seen
-    the cells of the ending mask shifted j columns back.  It is pending
-    in state r iff r & mask == 0.  No mask is empty: every member has a
-    cell at shift 0."""
-    masks = {}
-    for s in family.members:
-        whole = _ending_mask(s, family.n)
-        for j in range(1, s.ord + 1):
-            masks[whole >> (j * family.n)] = None
-    return list(masks)
-
-
-def _pending_key(family: SigmaFamily, size: int) -> np.ndarray:
-    """The pending bits of each of the `size` states packed into an int64
-    key.  When its bits run out, the key so far is renumbered by rank,
-    which keeps both the classes and their order."""
-    states = np.arange(size, dtype=np.int64)
-    key = np.zeros(size, dtype=np.int64)
-    used = 0
-    for mask in _pending_masks(family):
-        if used == 62:
-            key = np.unique(key, return_inverse=True)[1].astype(np.int64)
-            used = int(key.max()).bit_length()
-        key = (key << 1) | ((states & mask) == 0)
-        used += 1
-    return key
-
-
-def _reached_states(family: SigmaFamily, size: int) -> np.ndarray:
-    """Mask of the `size` table states reachable from the all-picked
-    state: those that hit every member translate inside their own
-    width - 1 columns, the translate of s that ends j columns before the
-    newest one for j < width - 1 - ord(s)."""
-    n, w = family.n, family.width
-    states = np.arange(size, dtype=np.int64)
-    reached = np.ones(size, dtype=bool)
-    for s in family.members:
-        whole = _ending_mask(s, n)
-        for j in range(w - 1 - s.ord):
-            reached &= (states & (whole << (j * n))) != 0
-    return reached
-
-
-def pending_graph(family: SigmaFamily) -> Graph:
-    """The pick automaton's quotient by pending members, as a graph on
-    the classes reachable from the all-picked state's.
-
-    The class key of a state packs its pending bits (`_pending_masks`);
-    classes are numbered in key order, so the all-picked state's class,
-    key 0, is class 0.  A class takes the row of its first state: its
-    edges are that row's finite entries, weighted by their picks and
-    labeled by the pick pattern, into the class of the representative's
-    successor.  Explicit checks that every state has its representative's
-    row and successor classes raise CertificateError: the certified mean
-    of the quotient is then the mean of the full automaton.
-
-    Only the classes holding a reachable state (`_reached_states`) are
-    kept, renumbered in order, so the graph meets the solver's contract:
-    every class is reachable from class 0, and each has an outgoing edge,
-    since picking the whole column is never blocked."""
-    step = pick_automaton(family)
-    _, rep, cls = np.unique(_pending_key(family, len(step)), return_index=True, return_inverse=True)
-    nxt = np.arange(step.size, dtype=np.int64).reshape(step.shape) & (len(step) - 1)
-    row, succ = step[rep], cls[nxt[rep]]  # per class, from its representative
-    if not np.array_equal(step, row[cls]):
-        raise CertificateError(f"{family}: a state's row differs from its pending class's")
-    if not np.array_equal(cls[nxt], succ[cls]):
-        raise CertificateError(f"{family}: a state's successors leave its pending classes")
-    kept = np.zeros(len(rep), dtype=bool)
-    kept[cls[_reached_states(family, len(step))]] = True
-    number = np.cumsum(kept) - 1
-    row, succ = row[kept], succ[kept]
-    c, pick = np.nonzero(row < INF)
-    return Graph(len(row), c, number[succ[c, pick]], row[c, pick], pick)
+    return obligation_automaton(family)
 
 
 def iter_window_taus(family: SigmaFamily, i_max: int) -> Iterator[int]:
     """tau(family, i) for i = 0..i_max, yielded in one min-plus pass over
-    the pick automaton.
+    the in-edges of `family_automaton`.
 
-    The pass starts in the all-picked state, which makes every member
+    The pass starts in the all-hit state, which makes every member
     longer than the columns appended so far vacuous; each appended column
     costs its picks and must hit the members that end in it, so every
     shifted member inside the window is checked exactly once.  After i+1
@@ -321,14 +273,16 @@ def iter_window_taus(family: SigmaFamily, i_max: int) -> Iterator[int]:
     if not family.members:
         yield from repeat(0, i_max + 1)
         return
-    step = pick_automaton(family)
-    dp = np.full(len(step), INF, dtype=np.int64)
+    g = family_automaton(family)
+    order = np.argsort(g.dst, kind="stable")
+    src, weight = g.src[order], g.weight[order]
+    count = np.bincount(g.dst, minlength=g.num_states)  # every state has an in-edge
+    starts = np.cumsum(count) - count
+    dp = np.full(g.num_states, INF, dtype=np.int64)
     dp[-1] = 0
     for _ in range(i_max + 1):
-        # entry k = (r << n) | p of the table lands in state k mod len(dp),
-        # so column t of the reshaped sums holds the steps into state t;
-        # `initial` caps blocked sums at INF, so they cannot overflow
-        dp = (dp[:, None] + step).reshape(-1, len(dp)).min(axis=0, initial=INF)
+        # blocked sums are capped at INF, so they cannot overflow
+        dp = np.minimum(np.minimum.reduceat(dp[src] + weight, starts), INF)
         yield int(dp.min())
 
 
@@ -390,12 +344,12 @@ __all__ = [
     "SigmaFamily",
     "SupportSet",
     "UnitIdealError",
+    "family_automaton",
     "family_from_monomials",
     "is_free",
     "iter_window_taus",
     "monomial_krull_dim",
-    "pending_graph",
-    "pick_automaton",
+    "obligation_automaton",
     "tau_family",
     "window_dim",
     "window_taus",

@@ -1,13 +1,13 @@
 """Exact minimum mean cycle of a directed graph with integer edge weights.
 
-Every graph the solver reads meets one contract, which its builders
-guarantee: every state is reachable from state 0 and has an outgoing
-edge.  The coverage automaton (`covering.coverage_graph`) is built on its
-reachable states only, by rule, and the pending quotient of a family
-(`families.pending_graph`) on its reachable classes; both always have an
-edge out.  The solver repairs nothing: a state without an outgoing edge
-raises ValueError, and the value is the minimum over all cycles of the
-graph, which under the contract are the cycles reachable from state 0.
+Every graph the solver reads meets one contract, which its builder
+guarantees: every state is reachable from state 0 and has an outgoing
+edge.  The package's one automaton (`families.obligation_automaton`) is
+built on the states reached from its all-hit state, every one of which
+leads back to it, so every state reaches every other.  The solver
+repairs nothing: a state without an outgoing edge raises ValueError, and
+the value is the minimum over all cycles of the graph, which under the
+contract are the cycles reachable from state 0.
 
 `minimum_cycle_mean` runs Howard policy iteration (Cochet-Terrasson,
 Cohen, Gaubert, McGettrick & Quadrat 1998; Dasdan 2004).  A policy picks

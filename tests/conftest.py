@@ -10,13 +10,12 @@ used before policy iteration), shortest-path potentials by plain
 synchronous relaxation rounds (the witness potentials the library used
 before the certificate's Bellman-Ford), the pick automaton on the patterns
 of the last `width` columns (the state space the library used before its
-transfer table on width - 1 columns), the transfer table read as a graph
-(the graph the library solved before its quotient by pending members),
-that quotient on every class (the graph the library searched for
-reachable classes before it kept only those), the coverage automaton on
-all 2**span masks and the reachability search by a numpy BFS (the graph
-and the search the library used before it built the reachable coverage
-states by rule), the member pruning by
+obligation states), window numbers by a min-plus pass over it, its
+quotient by the started translates each state hits, found by a search
+from the all-picked state (the automaton the library builds in rounds),
+the coverage automaton on all 2**span masks and the reachability search
+by a numpy BFS (the graph and the search the library used before it
+built the reachable coverage states), the member pruning by
 shifted containment of SupportSets (the pruning the library ran before
 its bitmasks), policy values over two arrays and every doubling round
 (the evaluation the library ran before it packed them),
@@ -331,37 +330,66 @@ def oracle_pick_graph(family):
     return Graph(1 << bits, np.concatenate(src), np.concatenate(dst), cost[pick], pick)
 
 
-def pick_graph(family):
-    """The pick automaton as an explicit graph: one edge per finite entry
-    of `pick_automaton`, weighted by its picks and labeled by the new
-    column's pick pattern."""
-    from sigmadim.families import INF, pick_automaton
+def oracle_window_taus(family, i_max: int) -> list[int]:
+    """tau(family, i) for i = 0..i_max by a min-plus pass over
+    `oracle_pick_graph` from the all-picked state."""
+    g = oracle_pick_graph(family)
+    inf = 1 << 60
+    cost = np.full(g.num_states, inf, dtype=np.int64)
+    cost[-1] = 0
+    taus = []
+    for _ in range(i_max + 1):
+        nxt = np.full(g.num_states, inf, dtype=np.int64)
+        ok = cost[g.src] < inf
+        np.minimum.at(nxt, g.dst[ok], cost[g.src[ok]] + g.weight[ok])
+        cost = nxt
+        taus.append(int(cost.min()))
+    return taus
+
+
+def oracle_obligation_graph(family):
+    """The quotient of `oracle_pick_graph`, on the states reachable from
+    the all-picked one, by the started translates each state hits.
+
+    A state's mask has one block of ord(s) + 1 bits per member s, in
+    member order; bit k is set when the translate of s that ends k + 1
+    columns after the newest one has a picked cell.  Classes are numbered
+    by increasing mask, with one edge per pick pattern that their states
+    allow, into the class of its head.  AssertionError unless the states
+    of a class allow the same patterns and agree on each one's head
+    class."""
     from sigmadim.meancycle import Graph
 
-    step = pick_automaton(family)
-    src, pick = np.nonzero(step < INF)
-    dst = ((src << family.n) | pick) & (len(step) - 1)
-    return Graph(len(step), src, dst, step[src, pick], pick)
+    n, g = family.n, oracle_pick_graph(family)
+    full = np.arange(g.num_states, dtype=np.int64)
+    mask = np.zeros(g.num_states, dtype=object)
+    base = 0
+    for s in family.members:
+        for k in range(s.ord):
+            cells = sum(1 << ((s.ord - k - 1 - a) * n + j - 1) for a, j in s.cells if a < s.ord - k)
+            mask |= ((full & cells) != 0).astype(object) << (base + k)
+        base += s.ord + 1
+    seen = oracle_reachable(g, g.num_states - 1)
+    reach = np.flatnonzero(seen)
+    classes = np.unique(mask[reach])
+    cls = np.searchsorted(classes, mask)
+    e = seen[g.src]
+    pairs = np.unique(np.stack((cls[g.src[e]] << n | g.label[e], cls[g.dst[e]])), axis=1)
+    assert len(np.unique(pairs[0])) == pairs.shape[1], "a class's states disagree on a head"
+    out = np.bincount(pairs[0] >> n, minlength=len(classes))
+    assert np.array_equal(np.bincount(g.src[e], minlength=g.num_states)[reach], out[cls[reach]])
+    pick = pairs[0] & ((1 << n) - 1)
+    cost = np.array([bin(p).count("1") for p in range(1 << n)], dtype=np.int64)
+    return Graph(len(classes), pairs[0] >> n, pairs[1], cost[pick], pick)
 
 
-def oracle_pending_graph(family):
-    """The pick automaton's quotient by pending members on every class,
-    reachable from the all-picked state's or not: the graph the library
-    solved, after a reachability search of its own, before the quotient
-    kept only the classes that hold a reachable state."""
-    from sigmadim import families
-    from sigmadim.families import INF, pick_automaton
-    from sigmadim.meancycle import CertificateError, Graph
+def cover_automaton(e):
+    """The automaton that `cover` and the covering density solve: the
+    obligation automaton of the family {-E}."""
+    from sigmadim.covering import _translates
+    from sigmadim.families import obligation_automaton
 
-    step = pick_automaton(family)
-    key = families._pending_key(family, len(step))
-    _, rep, cls = np.unique(key, return_index=True, return_inverse=True)
-    nxt = np.arange(step.size, dtype=np.int64).reshape(step.shape) & (len(step) - 1)
-    row, succ = step[rep], cls[nxt[rep]]
-    if not np.array_equal(step, row[cls]) or not np.array_equal(cls[nxt], succ[cls]):
-        raise CertificateError(f"{family}: the pending key is not a congruence")
-    c, pick = np.nonzero(row < INF)
-    return Graph(len(rep), c, succ[c, pick], row[c, pick], pick)
+    return obligation_automaton(_translates(e))
 
 
 def oracle_shift_contained(small, big) -> bool:

@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import sigmadim
 from sigmadim.cli import main
 
 SCHEMA = json.loads(resources.files("sigmadim").joinpath("schema.json").read_text())
@@ -352,3 +357,29 @@ class TestParserReuse:
         code, out, err = run(["sdim", "--imax", "4"])
         assert code == 2 and out == "" and "--monomial" in err
         assert run_json(family) == first
+
+
+# the automaton verbs in a fresh process, then whether numpy.ma was loaded
+NUMPY_MA = """
+import io, sys
+from contextlib import redirect_stdout
+from sigmadim.cli import main
+with redirect_stdout(io.StringIO()):
+    codes = [main(["cover", "0,1,4"]), main(["sdim", "--family", sys.argv[1]])]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_automaton_verbs_leave_numpy_ma_out(tmp_path):
+    # a plain np.unique or np.union1d imports numpy.ma, about 0.5 MB of
+    # resident memory in a fresh process
+    fam = tmp_path / "family.txt"
+    fam.write_text("{(0,1),(1,1),(4,1)}\n{(0,1),(2,1)}\n")
+    src = str(Path(sigmadim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA, str(fam)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[0,", "0]", "False"]

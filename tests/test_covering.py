@@ -21,10 +21,10 @@ from sigmadim import (
     reflect,
     tau_interval,
 )
-from sigmadim.covering import coverage_graph
 from sigmadim.meancycle import extract_min_mean_cycle
 from conftest import (
     brute_tau_interval,
+    cover_automaton,
     oracle_coverage_graph,
     oracle_reachable,
     oracle_restrict_reachable,
@@ -196,7 +196,7 @@ def test_coverage_graph_edges_match_a_loop():
                     stack.append(t)
         index = {s: i for i, s in enumerate(sorted(seen))}
         want = [(index[s], index[t], p, p) for s in sorted(seen) for t, p in steps(s)]
-        g = coverage_graph(e)
+        g = cover_automaton(e)
         got = list(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist(), g.label.tolist()))
         assert got == want, e
 
@@ -217,13 +217,14 @@ RULE_SETS = list(every_set(10)) + [
 
 
 def test_coverage_graph_is_the_searched_full_automaton():
-    # the states built by rule are the full automaton's states that a
-    # search from state 0 reaches: the same graph, edge for edge
+    # the obligation automaton of {-E} is the coverage automaton on the
+    # masks that a search from state 0 reaches: the same graph, edge for
+    # edge, so `cover` walks the same witness cycles
     dropped = 0
     for e in RULE_SETS:
         full = oracle_coverage_graph(e)
         want, s = oracle_restrict_reachable(full)
-        g = coverage_graph(e)
+        g = cover_automaton(e)
         assert s == 0 and g.num_states == want.num_states, e
         for a in ("src", "dst", "weight", "label"):
             assert np.array_equal(getattr(g, a), getattr(want, a)), (e, a)
@@ -233,7 +234,7 @@ def test_coverage_graph_is_the_searched_full_automaton():
 
 def test_coverage_graph_meets_the_solver_contract():
     for e in RULE_SETS:
-        g = coverage_graph(e)
+        g = cover_automaton(e)
         assert oracle_reachable(g).all(), e
         assert np.bincount(g.src, minlength=g.num_states).all(), e
 
@@ -248,9 +249,14 @@ def test_density_and_complement_match_the_searched_automaton():
 
 
 def test_coverage_graph_cap():
+    # the automaton builder applies no cap: `cover` and the density stop
+    # above span STATE_BIT_CAP, tau from it on (span + 1 state bits)
     from sigmadim.families import STATE_BIT_CAP, CapExceededError
 
-    with pytest.raises(CapExceededError):
-        coverage_graph(IntSet([0, STATE_BIT_CAP + 1]))
-    with pytest.raises(CapExceededError):
+    wide = IntSet([0, STATE_BIT_CAP + 1])
+    for call in (covering_density, optimal_complement):
+        with pytest.raises(CapExceededError, match="needs 21 state bits \\(span\\), cap is 20"):
+            call(wide)
+    with pytest.raises(CapExceededError, match="needs 21 state bits \\(n\\*width\\), cap is 20"):
         tau_interval(IntSet([0, STATE_BIT_CAP]), 1)
+    assert cover_automaton(IntSet(range(STATE_BIT_CAP + 2))).num_states == STATE_BIT_CAP + 2

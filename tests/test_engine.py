@@ -39,7 +39,8 @@ from sigmadim import (
 )
 from sigmadim.covering import IntSet, tau_interval, reflect
 from sigmadim.engine import DimEntry, DimensionReport, _family_report
-from conftest import mono, pick_graph, poly, random_system
+from sigmadim.families import obligation_automaton
+from conftest import mono, poly, random_system
 
 INTRO = lambda: [poly("y1*s(y1)", 2), poly("y1*y2 - y2*s(y2)", 2)]
 
@@ -111,25 +112,49 @@ class TestFamilyValue:
             assert all(e.exact for e in rep.entries)
 
     def test_pick_graph_edges_match_a_loop(self):
+        # a loop over the pick patterns u of the last width - 1 columns
+        # that an all-picked history reaches (u hits every member
+        # translate inside it), each read as the mask of the started
+        # translates it hits; an edge appends the pick only if the width
+        # columns hit every member ending in the new one
         rng = random.Random(43)
         for _ in range(12):
             fam = random_family(rng, n=rng.randint(1, 3), max_ord=2)
-            n, bits = fam.n, fam.n * (fam.width - 1)
-            want = []
+            n, w = fam.n, fam.width
+            bits = n * (w - 1)
+
+            def picked(pattern, back, j):  # index j, `back` columns behind the newest
+                return back >= 0 and pattern >> (n * back + j - 1) & 1
+
+            def hit(pattern, s, end):  # the translate of s ending `end` columns behind
+                return any(picked(pattern, end + s.ord - a, j) for a, j in s.cells)
+
+            def mask(u):
+                out, base = 0, 0
+                for s in fam.members:
+                    for k in range(s.ord):
+                        out |= hit(u, s, -1 - k) << (base + k)
+                    base += s.ord + 1
+                return out
+
+            want = set()
             for u in range(1 << bits):
+                if not all(hit(u, s, e) for s in fam.members for e in range(w - 1 - s.ord)):
+                    continue
                 for pick in range(1 << n):
                     pattern = (u << n) | pick
-                    window = [(pattern >> (n * a)) & ((1 << n) - 1) for a in range(fam.width)]
-                    if all(
-                        any(window[s.ord - a] >> (j - 1) & 1 for a, j in s.cells)
-                        for s in fam.members
-                    ):
+                    if all(hit(pattern, s, 0) for s in fam.members):
                         v = pattern & ((1 << bits) - 1)
-                        want.append((u, v, bin(pick).count("1"), pick))
-            g = pick_graph(fam)
-            assert g.num_states == 1 << bits, fam
-            got = list(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist(), g.label.tolist()))
-            assert got == want, fam
+                        want.add((mask(u), mask(v), bin(pick).count("1"), pick))
+            states = sorted({m for m, _, _, _ in want})
+            g = obligation_automaton(fam)
+            assert g.num_states == len(states), fam
+            got = [
+                (states[u], states[v], c, p)
+                for u, v, c, p in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist(), g.label.tolist())
+            ]
+            assert set(got) == want and len(got) == len(want), fam
+            assert [(u, p) for u, _, _, p in got] == sorted((u, p) for u, _, _, p in got), fam
 
 
 YS = SigmaFamily(1, [[(0, 1), (1, 1)]])
@@ -438,6 +463,28 @@ class TestDispatch:
         assert rep.certified_value == Fraction(1, 2)
         assert rep.certified_kind == "exact"
         assert rep.d_sequence() == [1, 1, 2, 2, 3, 3, 4, 4, 5]
+
+    def test_univariate_windows_read_one_automaton(self, monkeypatch):
+        # d_i = i + 1 - tau(-E, i - max(E) + 1) on translated shift sets,
+        # every window read off the automaton of one family
+        import sigmadim.families
+
+        real = sigmadim.families.obligation_automaton
+        built = []
+        monkeypatch.setattr(
+            sigmadim.families, "obligation_automaton", lambda fam: built.append(fam) or real(fam)
+        )
+        rng = random.Random(53)
+        for _ in range(12):
+            shifts = sorted({rng.randint(0, 4)} | {rng.randint(0, 9) for _ in range(rng.randint(0, 3))})
+            neg, top = reflect(IntSet(shifts)), shifts[-1]
+            m = mono("*".join(f"s^{a}(y1)" for a in shifts), 1)
+            want = [i + 1 if i < top else i + 1 - tau_interval(neg, i - top + 1) for i in range(21)]
+            built.clear()
+            rep = sigma_dim([m], i_max=20)
+            assert rep.method == "covering"
+            assert rep.d_sequence() == want, shifts
+            assert len({id(fam) for fam in built}) == (top < 21), shifts
 
     def test_intro_system_both_results(self):
         rep = sigma_dim(INTRO(), i_max=6)

@@ -23,9 +23,8 @@ from sigmadim import (
     window_dim,
     window_taus,
 )
-import sigmadim.families as families
 from sigmadim.engine import _family_report, sigma_dim_family
-from sigmadim.families import STATE_BIT_CAP, pending_graph, pick_automaton
+from sigmadim.families import STATE_BIT_CAP, obligation_automaton
 from sigmadim.meancycle import CertificateError, extract_min_mean_cycle, minimum_cycle_mean
 from sigmadim.transversal import minimum_hitting_set_size
 from conftest import (
@@ -34,11 +33,10 @@ from conftest import (
     karp_min_mean,
     mono,
     oracle_family_members,
-    oracle_pending_graph,
+    oracle_obligation_graph,
     oracle_pick_graph,
     oracle_reachable,
-    oracle_restrict_reachable,
-    pick_graph,
+    oracle_window_taus,
     window_constraints,
 )
 
@@ -226,8 +224,7 @@ def random_pending_family(rng: random.Random) -> SigmaFamily:
 
 PENDING_RNG = random.Random(61)
 PENDING_FAMILIES = [random_pending_family(PENDING_RNG) for _ in range(300)]
-# every {0, a, 12}: 66 pair masks and 12 single-cell masks, so the class
-# keys are renumbered once their 62 bits run out
+# every {0, a, 12}: eleven members of order 12, 143 obligation bits
 MANY_MASKS = SigmaFamily(1, [[(0, 1), (a, 1), (12, 1)] for a in range(1, 12)])
 
 
@@ -250,90 +247,87 @@ TRANSLATED_FAMILIES = [random_translated_family(TRANSLATED_RNG) for _ in range(5
 
 
 class TestPendingGraph:
+    """The obligation automaton: the pick automaton's quotient by the
+    started translates each state hits, or leaves pending."""
+
     def test_reachable_classes_match_the_searched_quotient(self):
-        # a state is reachable iff it hits every translate inside its own
-        # width - 1 columns: the quotient on the classes that hold one must
-        # be the full quotient restricted by a search, edge for edge
+        # the states built in width - 1 rounds from the all-hit state are
+        # the classes of the full pick states that a search from the
+        # all-picked state reaches: the same graph, edge for edge
         dropped = 0
         for fam in TRANSLATED_FAMILIES + PENDING_FAMILIES + [MANY_MASKS]:
-            full = oracle_pending_graph(fam)
-            want, s = oracle_restrict_reachable(full, 0)
-            g = pending_graph(fam)
-            assert s == 0 and g.num_states == want.num_states, fam
+            want = oracle_obligation_graph(fam)
+            g = obligation_automaton(fam)
+            assert g.num_states == want.num_states, fam
             for a in ("src", "dst", "weight", "label"):
                 assert np.array_equal(getattr(g, a), getattr(want, a)), (fam, a)
-            dropped += full.num_states - g.num_states
+            dropped += (1 << fam.n * (fam.width - 1)) - g.num_states
         assert dropped > 1000
 
     def test_pending_graph_meets_the_solver_contract(self):
-        # every class reachable from class 0, each with an outgoing edge
+        # every state reachable from every other, each with an outgoing edge
         for fam in TRANSLATED_FAMILIES:
-            g = pending_graph(fam)
+            g = obligation_automaton(fam)
             assert oracle_reachable(g, 0).all(), fam
+            assert oracle_reachable(g, g.num_states - 1).all(), fam
             assert np.bincount(g.src, minlength=g.num_states).all(), fam
 
     def test_solves_on_the_quotient_run_no_search(self):
-        # the quotient is reachable by construction, so the solver reads
+        # the automaton is reachable by construction, so the solver reads
         # it as built; its mean, witness and checked solve agree
         for fam in TRANSLATED_FAMILIES[:40] + [YS, MANY_MASKS]:
-            g = pending_graph(fam)
+            g = obligation_automaton(fam)
             mean = minimum_cycle_mean(g)
             assert extract_min_mean_cycle(g)[0] == mean
             assert sigma_dim_family(fam, check=True) == fam.n - mean
 
-    def test_many_masks_fold_the_key(self):
-        assert len(families._pending_masks(MANY_MASKS)) > 62
-        assert len(MANY_MASKS.members) == 11
-
     def test_mean_matches_the_full_automaton(self):
-        for fam in PENDING_FAMILIES + [MANY_MASKS]:
-            g = pending_graph(fam)
-            assert g.num_states <= len(pick_automaton(fam)), fam
+        # MANY_MASKS has 11 blocks of 13 bits, so its masks are Python ints
+        assert sum(s.ord + 1 for s in MANY_MASKS.members) == 143
+        for fam in PENDING_FAMILIES + TRANSLATED_FAMILIES + [MANY_MASKS]:
+            g = obligation_automaton(fam)
+            assert g.num_states <= 1 << fam.n * (fam.width - 1), fam
             mean = minimum_cycle_mean(g)
-            assert mean == minimum_cycle_mean(pick_graph(fam)), fam
             assert mean == minimum_cycle_mean(oracle_pick_graph(fam)), fam
             assert mean == karp_min_mean(g), fam
+            assert window_taus(fam, 12) == oracle_window_taus(fam, 12), fam
 
     def test_checked_solve(self):
         for fam in PENDING_FAMILIES + [MANY_MASKS]:
-            want = fam.n - minimum_cycle_mean(pick_graph(fam))
+            want = fam.n - minimum_cycle_mean(oracle_pick_graph(fam))
             assert sigma_dim_family(fam, check=True) == want, fam
 
-    def test_dropped_mask_fails_the_congruence_check(self, monkeypatch):
-        # explicit checks, so this also holds under python -O
-        real = families._pending_masks
-        monkeypatch.setattr(families, "_pending_masks", lambda fam: real(fam)[1:])
-        with pytest.raises(CertificateError):
-            pending_graph(YS)
+    def test_early_stop_fails_the_closure_check(self):
+        # a build with one round fewer either raises or, when the last
+        # round found nothing new, returns the whole automaton; explicit
+        # checks, so this also holds under python -O
+        fam = SigmaFamily(1, [[(0, 1), (1, 1), (4, 1)]])
+        fam.width -= 1
+        with pytest.raises(CertificateError, match="was not built"):
+            obligation_automaton(fam)
         caught = 0
         for fam in PENDING_FAMILIES:
+            want = obligation_automaton(fam)
+            short = SigmaFamily(fam.n, fam.members)
+            short.width -= 1
             try:
-                pending_graph(fam)
+                g = obligation_automaton(short)
             except CertificateError:
                 caught += 1
-        assert caught > 0
-
-    def test_split_class_fails_the_successor_check(self, monkeypatch):
-        # splitting each pending class by the oldest column's pick keeps
-        # every class's row but not its successor classes
-        real = families._pending_key
-        monkeypatch.setattr(
-            families,
-            "_pending_key",
-            lambda fam, size: real(fam, size) * 2 + (np.arange(size) >> (size.bit_length() - 2)),
-        )
-        with pytest.raises(CertificateError, match="successors leave"):
-            pending_graph(SigmaFamily(1, [[(0, 1), (1, 1), (4, 1)]]))
+                continue
+            for a in ("src", "dst", "weight", "label"):
+                assert np.array_equal(getattr(g, a), getattr(want, a)), (fam, a)
+        assert caught > 100
 
     def test_table_built_once_per_family(self):
         fam = SigmaFamily(2, [[(0, 1), (1, 2)], [(0, 2), (2, 1)]])
-        step = pick_automaton(fam)
-        assert not step.flags.writeable
+        g = obligation_automaton(fam)
+        assert not any(a.flags.writeable for a in (g.src, g.dst, g.weight, g.label))
         _family_report(fam, 12, check=True)
-        assert pick_automaton(fam) is step
+        assert obligation_automaton(fam) is g
         twin = SigmaFamily(2, fam.members)
         assert twin == fam and hash(twin) == hash(fam)
-        assert pick_automaton(twin) is not step
+        assert obligation_automaton(twin) is not g
 
 
 class TestWindowDim:

@@ -15,6 +15,7 @@ import pytest
 import sigmadim
 import sigmadim.meancycle as meancycle
 from conftest import (
+    cover_automaton,
     graph,
     karp_min_mean,
     oracle_distances,
@@ -22,10 +23,10 @@ from conftest import (
     oracle_policy_values,
     oracle_reachable,
     oracle_restrict_reachable,
-    pick_graph,
 )
 from sigmadim import CertificateError, SigmaFamily
-from sigmadim.covering import IntSet, coverage_graph
+from sigmadim.covering import IntSet
+from sigmadim.families import obligation_automaton
 from sigmadim.meancycle import Graph, extract_min_mean_cycle, minimum_cycle_mean
 
 
@@ -221,7 +222,7 @@ def test_pick_automata_match_karp():
     rng = random.Random(31)
     for max_bits, full in [(8, False)] * 40 + [(10, True)] * 3 + [(12, True)]:
         fam = random_pick_family(rng, max_bits, full)
-        g = pick_graph(fam)
+        g = obligation_automaton(fam)
         assert not full or fam.width == max_bits // fam.n
         assert minimum_cycle_mean(g) == karp_min_mean(g), fam
 
@@ -230,8 +231,8 @@ def test_pick_graph_matches_the_full_state_oracle():
     rng = random.Random(47)
     for max_bits, full in [(8, False)] * 30 + [(12, False)] * 10 + [(12, True)] * 4:
         fam = random_pick_family(rng, max_bits, full)
-        g = pick_graph(fam)
-        assert g.num_states == 2 ** (fam.n * (fam.width - 1)), fam
+        g = obligation_automaton(fam)
+        assert g.num_states <= 2 ** (fam.n * (fam.width - 1)), fam
         assert minimum_cycle_mean(g) == minimum_cycle_mean(oracle_pick_graph(fam)), fam
 
 
@@ -240,7 +241,7 @@ def test_coverage_graphs_match_karp():
     for _ in range(40):
         span = rng.randint(0, 10)
         e = IntSet({0, span} | {rng.randint(0, span) for _ in range(rng.randint(0, 4))})
-        g = coverage_graph(e)
+        g = cover_automaton(e)
         assert minimum_cycle_mean(g) == karp_min_mean(g), e
 
 
@@ -262,8 +263,8 @@ def test_witnesses_match_plain_relaxation_potentials():
             graphs.append(Graph(g.num_states, g.src, g.dst, g.weight, np.arange(len(g.src))))
     for _ in range(40):
         span = rng.randint(0, 10)
-        graphs.append(coverage_graph(IntSet({0, span} | {rng.randint(0, span) for _ in range(3)})))
-    graphs += [oracle_restrict_reachable(pick_graph(random_pick_family(rng, 10)))[0] for _ in range(40)]
+        graphs.append(cover_automaton(IntSet({0, span} | {rng.randint(0, span) for _ in range(3)})))
+    graphs += [obligation_automaton(random_pick_family(rng, 10)) for _ in range(40)]
     for g in graphs:
         assert extract_min_mean_cycle(g) == oracle_extract(g), (g.src, g.dst, g.weight)
 
@@ -285,7 +286,7 @@ def test_exact_iteration_matches_karp():
         g.weight -= 3  # negative weights too
         assert minimum_cycle_mean(g) == karp_min_mean(g)
     for _ in range(10):
-        g = pick_graph(random_pick_family(rng, 8))
+        g = obligation_automaton(random_pick_family(rng, 8))
         assert minimum_cycle_mean(g) == karp_min_mean(g)
 
 
